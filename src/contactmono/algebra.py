@@ -105,12 +105,6 @@ class InvariantForm:
         )
 
     # -- evaluation --------------------------------------------------------
-    def eval_frame(self, *indices: int) -> ExactComplex:
-        """Evaluate on frame vectors e_{i1},...,e_{ik} (antisymmetric pairing)."""
-        if len(indices) != self.degree:
-            raise DegreeError("wrong number of arguments")
-        return self.coeff(*indices)
-
     def eval_vectors(self, *vectors) -> ExactComplex:
         """Evaluate on complex frame-vector triples (v0, v1, v2).
 
@@ -370,6 +364,16 @@ def catalog_model(name: str) -> ModelStructure:
         raise KeyError(f"unknown catalog model {name!r}")
     p, q = CATALOG_PARAMS[name]
     return gen_model(p, q, name)
+
+
+def is_heisenberg(m: ModelStructure) -> bool:
+    """All nine structure constants, compared exactly, are those of gen(0, 0)."""
+    heisenberg = {(0, (1, 2)): ExactComplex(2)}
+    return all(
+        m.c[(i, pair)] == heisenberg.get((i, pair), ExactComplex(0))
+        for i in range(3)
+        for pair in PAIRS
+    )
 
 
 def model_from_json(doc: Mapping) -> ModelStructure:

@@ -16,7 +16,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .algebra import ModelStructure
+from .algebra import ModelStructure, is_heisenberg
 from .errors import BackendMismatch, TorsionError, WrongModel
 from .pseudohermitian import PhInvariants
 
@@ -53,7 +53,7 @@ class HeisGridBackend:
     kind = "heis-grid"
 
     def __init__(self, model: ModelStructure, n: int):
-        if model.c_float(1, 0, 2) != 0.0 or model.c_float(2, 0, 1) != 0.0:
+        if not is_heisenberg(model):
             raise WrongModel("grid backend supports the Heisenberg model only")
         if n % 2 != 0 or n <= 0:
             raise ValueError("grid size N must be even and positive")
@@ -190,12 +190,6 @@ def zero_gauge(backend: Backend) -> GaugeField:
         return GaugeField(0.0, 0.0, 0.0, backend)
     z = np.zeros((backend.n,) * 3)
     return GaugeField(z, z.copy(), z.copy(), backend)
-
-
-def zero_spinor(backend: Backend) -> SpinorField:
-    if backend.kind == "invariant":
-        return SpinorField(0j, 0j, backend)
-    return SpinorField(backend.zero(), backend.zero(), backend)
 
 
 def _omega_weights(ph: PhInvariants):
@@ -380,22 +374,37 @@ def gauge_curvature_components(a: GaugeField, m: ModelStructure):
     return tuple(out)
 
 
-def b_curvature_components(a: GaugeField, ph: PhInvariants, m: ModelStructure, eps):
+def background_coefficients(ph: PhInvariants, m: ModelStructure):
+    """{(j, k): (d(omega)_jk, d(theta)_jk)} lowered to floats from the exact forms."""
+    from .algebra import exterior_d, theta as theta_form
+
+    domega = exterior_d(ph.omega, m)
+    dtheta = exterior_d(theta_form(), m)
+    return {
+        (j, k): (
+            domega.coeff(j, k).to_complex().real,
+            dtheta.coeff(j, k).to_complex().real,
+        )
+        for (j, k) in ((1, 2), (0, 1), (0, 2))
+    }
+
+
+def b_curvature_components(
+    a: GaugeField, ph: PhInvariants, m: ModelStructure, eps, coeffs=None
+):
     """(F12, F01, F02) of F_b = (i/2) d(omega + eps theta) + i da.
 
     Components follow the layout F_b = i(F12 e1^e2 + F01 e0^e1 + F02 e0^e2).
+    `coeffs` is background_coefficients(ph, m), for callers that evaluate
+    the curvature repeatedly; it is derived exactly when omitted.
     """
-    from .algebra import exterior_d, theta as theta_form
-
     e = float(eps)
-    domega = exterior_d(ph.omega, m)
-    dtheta = exterior_d(theta_form(), m)
+    if coeffs is None:
+        coeffs = background_coefficients(ph, m)
 
     def background(j, k):
-        return 0.5 * (
-            domega.coeff(j, k).to_complex().real
-            + e * dtheta.coeff(j, k).to_complex().real
-        )
+        d_omega, d_theta = coeffs[(j, k)]
+        return 0.5 * (d_omega + e * d_theta)
 
     da01, da02, da12 = gauge_curvature_components(a, m)
     return (

@@ -49,9 +49,6 @@ class PhInvariants:
     def omega_float(self) -> Tuple[float, float, float]:
         return tuple(float(self.omega.coeff(i).to_complex().real) for i in range(3))
 
-    def torsion_complex(self) -> complex:
-        return self.torsion.to_complex()
-
     def webster_float(self) -> float:
         return float(self.tw_curv.to_complex().real)
 

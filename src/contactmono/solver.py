@@ -26,8 +26,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .algebra import ModelStructure
-from .errors import NotASolution, PreconditionError, TorsionError, WrongModel
+from .algebra import ModelStructure, is_heisenberg
+from .errors import NotASolution, PreconditionError, SolveError, TorsionError, WrongModel
 from .fields import (
     DIR_T,
     DIR_Z1,
@@ -37,6 +37,7 @@ from .fields import (
     InvariantBackend,
     SpinorField,
     b_curvature_components,
+    background_coefficients,
     cov_deriv,
     dirac_eps,
     dirac_xi,
@@ -234,11 +235,7 @@ class HeisenbergFamily:
     """
 
     def __init__(self, model: ModelStructure):
-        if any(
-            model.c_float(i, j, k) != 0.0
-            for i in (1, 2)
-            for (j, k) in ((0, 1), (0, 2), (1, 2))
-        ):
+        if not is_heisenberg(model):
             raise WrongModel("closed form is specific to the Heisenberg model")
         self.model = model
 
@@ -311,8 +308,14 @@ def _unpack_grid(x: np.ndarray, model, backend, eps) -> MonopoleState:
     return MonopoleState(a=a, phi=phi, model=model, eps=eps)
 
 
-def _residual_fields(s: MonopoleState, ph: PhInvariants, constraint: bool):
-    """List of (complex_or_real, values) equation fields defining the target."""
+def _residual_fields(
+    s: MonopoleState, ph: PhInvariants, constraint: bool, coeffs=None
+):
+    """List of (complex_or_real, values) equation fields defining the target.
+
+    `coeffs` is background_coefficients(ph, s.model), hoisted by callers
+    that evaluate the residual repeatedly.
+    """
     alpha, beta = s.phi.alpha, s.phi.beta1bar
     out = []
     if s.eps is None:
@@ -328,7 +331,7 @@ def _residual_fields(s: MonopoleState, ph: PhInvariants, constraint: bool):
         d = dirac_eps(s.phi, s.a, ph, s.eps)
         out.append(("c", d.alpha))
         out.append(("c", d.beta1bar))
-        f12, f01, f02 = b_curvature_components(s.a, ph, s.model, s.eps)
+        f12, f01, f02 = b_curvature_components(s.a, ph, s.model, s.eps, coeffs)
         out.append(
             ("r", f12 - 0.5 * np.real(alpha * np.conj(alpha) - beta * np.conj(beta)))
         )
@@ -340,14 +343,16 @@ def _residual_fields(s: MonopoleState, ph: PhInvariants, constraint: bool):
     return out
 
 
-def _stack_residual(s: MonopoleState, ph: PhInvariants, constraint: bool) -> np.ndarray:
+def _stack_residual(
+    s: MonopoleState, ph: PhInvariants, constraint: bool, coeffs=None
+) -> np.ndarray:
     b = s.backend
     if b.kind == "invariant":
         weight = math.sqrt(2.0)
     else:
         weight = math.sqrt(2.0 / b.n**3)
     rows = []
-    for kind, vals in _residual_fields(s, ph, constraint):
+    for kind, vals in _residual_fields(s, ph, constraint, coeffs):
         arr = np.asarray(vals)
         if kind == "c":
             rows.append(arr.real.ravel() * weight)
@@ -360,44 +365,77 @@ def _stack_residual(s: MonopoleState, ph: PhInvariants, constraint: bool) -> np.
 # --- sparse Jacobian (grid backend) ----------------------------------------------
 
 
+class _Stencil(tuple):
+    """A grid operator as a tuple of terms (idx, coef).
+
+    Row i of the operator applied to u is the sum over its terms of
+    coef[i] * u[idx[i]]; coef is a scalar or an N^3 array, and idx None is the
+    identity.  Sums concatenate terms and scalar (or row) factors scale the
+    coefficients, so the Jacobian is assembled from COO triplets in one pass.
+    """
+
+    def __add__(self, other):
+        return _Stencil(tuple.__add__(self, other))
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, factor):
+        return _Stencil((idx, factor * coef) for idx, coef in self)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self * -1
+
+
 def _grid_operator_mats(b: HeisGridBackend):
-    n3 = b.n**3
-    eye_rows = np.arange(n3)
-
-    def perm(idx):
-        return sp.csr_matrix(
-            (np.ones(n3), (eye_rows, idx)), shape=(n3, n3)
-        )
-
     inv2h = 1.0 / (2 * b.h)
-    dz = (perm(b.zp) - perm(b.zm)) * inv2h
-    dx = (perm(b.xp) - perm(b.xm)) * inv2h
-    dy = (perm(b.yp) - perm(b.ym)) * inv2h
-    ydiag = sp.diags(np.broadcast_to(b.y, (b.n,) * 3).ravel())
-    de1 = dx + 2 * (ydiag @ dz)
+
+    def central(plus, minus):
+        return _Stencil(((plus, inv2h), (minus, -inv2h)))
+
+    dz = central(b.zp, b.zm)
+    dx = central(b.xp, b.xm)
+    dy = central(b.yp, b.ym)
+    y = np.broadcast_to(b.y, (b.n,) * 3).ravel()
+    de1 = dx + dz * (2 * y)  # the factor 2y scales the rows of dz
     de2 = dy
     z1 = 0.5 * (de1 - 1j * de2)
     z1b = 0.5 * (de1 + 1j * de2)
     return dz, de1, de2, z1, z1b
 
 
+def _re_im(v):
+    """(Re v, Im v), with 0.0 for a vanishing imaginary part (no stored zeros)."""
+    if np.iscomplexobj(v) and np.any(v.imag):
+        return v.real, v.imag
+    return np.real(v), 0.0
+
+
 def _grid_jacobian(
-    s: MonopoleState, ph: PhInvariants, constraint: bool
+    s: MonopoleState, ph: PhInvariants, constraint: bool, ops=None
 ) -> sp.csr_matrix:
-    """Analytic Jacobian of the stacked real residual on the grid backend."""
+    """Analytic Jacobian of the stacked real residual, plus the Coulomb rows.
+
+    The last N^3 rows are div(p_a) = dz p_a0 + de1 p_a1 + de2 p_a2 with the
+    residual weight; solve pairs them with -div(a), which fixes the gauge
+    directions of the step.  `ops` is _grid_operator_mats(s.backend).
+    """
     b = s.backend
     n3 = b.n**3
-    dz, de1, de2, z1, z1b = _grid_operator_mats(b)
+    dz, de1, de2, z1, z1b = ops or _grid_operator_mats(b)
     alpha = s.phi.alpha.ravel()
     beta = s.phi.beta1bar.ravel()
     a0 = s.a.a0.ravel()
     a_z1 = np.asarray(s.a.aZ1()).ravel()
     a_z1b = np.conj(a_z1)
     weight = math.sqrt(2.0 / n3)
-    zero = sp.csr_matrix((n3, n3))
+    zero = _Stencil()
+    eye = _Stencil(((None, 1.0),))
 
     def dia(v):
-        return sp.diags(v)
+        return _Stencil(((None, v),))
 
     # columns: [alpha (complex), beta (complex), a0, a1re, a2re]
     # each block entry is (linear_in_u, linear_in_conj_u) for complex unknowns
@@ -437,7 +475,7 @@ def _grid_jacobian(
                 dia(-alpha),
                 dia(np.conj(beta)),
                 dia(beta),
-                2 * sp.identity(n3),
+                2 * eye,
                 -de2,
                 de1,
                 "r",
@@ -448,7 +486,7 @@ def _grid_jacobian(
         # E1 = 2 (Z1 + i aZ1) beta - (i/e)(dz + i a0) alpha + e alpha
         blocks.append(
             (
-                -(1j / e) * (dz + 1j * dia(a0)) + e * sp.identity(n3),
+                -(1j / e) * (dz + 1j * dia(a0)) + e * eye,
                 zero,
                 2 * (z1 + 1j * dia(a_z1)),
                 zero,
@@ -478,7 +516,7 @@ def _grid_jacobian(
                 dia(-0.5 * alpha),
                 dia(0.5 * np.conj(beta)),
                 dia(0.5 * beta),
-                2 * sp.identity(n3),
+                2 * eye,
                 -de2,
                 de1,
                 "r",
@@ -522,36 +560,49 @@ def _grid_jacobian(
                 "c",
             )
         )
+    # Coulomb rows: div(p_a)
+    blocks.append((zero, zero, zero, zero, dz, de1, de2, "r"))
 
-    def realify(lin, bar):
-        """[[Re,-Im],[Im,Re]] for linear plus [[Re,Im],[Im,-Re]] for antilinear."""
-        l_re, l_im = lin.real, lin.imag
-        b_re, b_im = bar.real, bar.imag
-        top = sp.hstack([l_re + b_re, -l_im + b_im])
-        bot = sp.hstack([l_im + b_im, l_re - b_re])
-        return sp.vstack([top, bot])
+    # Realify: a complex row block is a block of real parts followed by one
+    # of imaginary parts, and so is a complex column block.  coef * u has
+    # [[Re, -Im], [Im, Re]] and coef * conj(u) has [[Re, Im], [Im, -Re]].
+    entries = []  # (row block, column block, idx, real coefficient)
 
-    def realify_realcol(mat):
-        return sp.vstack([mat.real, mat.imag])
+    def add(row, col, idx, coef):
+        if np.ndim(coef) or coef != 0:
+            entries.append((row, col, idx, coef))
 
-    rows = []
+    row = 0
     for (la, ba, lb, bb, d0, d1, d2, kind) in blocks:
-        if kind == "c":
-            block_alpha = realify(la, ba)
-            block_beta = realify(lb, bb)
-            block_a = sp.hstack(
-                [realify_realcol(d0), realify_realcol(d1), realify_realcol(d2)]
-            )
-            rows.append(sp.hstack([block_alpha, block_beta, block_a]))
-        else:
-            # real equation: derivative wrt complex u: lin*du + bar*conj(du)
-            # real part only: [Re(lin+bar), -Im(lin-bar)]
-            ra = sp.hstack([(la + ba).real, (ba - la).imag])
-            rb = sp.hstack([(lb + bb).real, (bb - lb).imag])
-            rreal = sp.hstack([d0.real, d1.real, d2.real])
-            rows.append(sp.hstack([ra, rb, rreal]))
-    jac = sp.vstack(rows).tocsr()
-    return jac * weight
+        im_row = row + 1 if kind == "c" else None
+        for col, lin, bar in ((0, la, ba), (2, lb, bb)):
+            for sign, op in ((1, lin), (-1, bar)):
+                for idx, coef in op:
+                    re, im = _re_im(coef)
+                    add(row, col, idx, re)
+                    add(row, col + 1, idx, -sign * im)
+                    if im_row is not None:
+                        add(im_row, col, idx, im)
+                        add(im_row, col + 1, idx, sign * re)
+        for col, op in ((4, d0), (5, d1), (6, d2)):
+            for idx, coef in op:
+                re, im = _re_im(coef)
+                add(row, col, idx, re)
+                if im_row is not None:
+                    add(im_row, col, idx, im)
+        row += 2 if kind == "c" else 1
+
+    local = np.arange(n3)
+    rows = np.empty(len(entries) * n3, dtype=np.int32)
+    cols = np.empty_like(rows)
+    vals = np.empty(len(entries) * n3)
+    for k, (r, c, idx, coef) in enumerate(entries):
+        part = slice(k * n3, (k + 1) * n3)
+        rows[part] = r * n3 + local
+        cols[part] = c * n3 + (local if idx is None else idx)
+        vals[part] = coef
+    vals *= weight
+    return sp.coo_matrix((vals, (rows, cols)), shape=(row * n3, 7 * n3)).tocsr()
 
 
 def _invariant_jacobian(
@@ -593,21 +644,22 @@ def _phase_fix_invariant(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _grid_divergence(a: GaugeField) -> np.ndarray:
+    """div(a) = dz a0 + de1 a1 + de2 a2 with the grid frame operators."""
+    b = a.backend
+    return (b.d_T(a.a0 + 0j) + b.d_e1(a.a1re + 0j) + b.d_e2(a.a2re + 0j)).real
+
+
 def _coulomb_project_grid(s: MonopoleState) -> MonopoleState:
     """Project a to the discrete Coulomb slice and fix the base-point phase.
 
     Solves the frame Laplacian Delta chi = div(a) by conjugate gradients and
-    applies a -> a - d chi, Phi -> exp(-i chi) Phi.
+    applies a -> a - d chi, Phi -> exp(-i chi) Phi.  Raises SolveError when
+    CG does not converge.
     """
     b = s.backend
     n3 = b.n**3
-
-    def div(a: GaugeField):
-        return (
-            b.d_T(a.a0 + 0j) + b.d_e1(a.a1re + 0j) + b.d_e2(a.a2re + 0j)
-        ).real
-
-    rhs = div(s.a).ravel()
+    rhs = _grid_divergence(s.a).ravel()
     rhs = rhs - rhs.mean()
 
     shape = (b.n,) * 3
@@ -618,7 +670,9 @@ def _coulomb_project_grid(s: MonopoleState) -> MonopoleState:
         return out.real.ravel()
 
     op = spla.LinearOperator((n3, n3), matvec=lap, dtype=float)
-    chi, _ = spla.cg(op, rhs, rtol=1e-12, atol=1e-14, maxiter=300)
+    chi, info = spla.cg(op, rhs, rtol=1e-12, atol=1e-14, maxiter=300)
+    if info != 0:
+        raise SolveError(f"Coulomb gauge projection: CG stopped with info={info}")
     chi = chi - chi.mean()
     chi = chi.reshape(shape)
     d0 = b.d_T(chi + 0j).real
@@ -636,6 +690,45 @@ def _coulomb_project_grid(s: MonopoleState) -> MonopoleState:
 
 
 # --- Gauss-Newton ---------------------------------------------------------------
+
+# The grid steps are inexact: lsqr stops once the linear residual is below
+# eta_k times the nonlinear one, with the forcing term eta_k of Eisenstat &
+# Walker (1996), choice 1, safeguarded and clamped.  atol and iter_lim guard
+# lsqr itself.
+ETA_START = 0.5
+ETA_MIN, ETA_MAX = 1e-6, 0.5
+ETA_SAFEGUARD = 0.1
+LSQR_ATOL = 1e-14
+LSQR_ITER_LIM = 3000
+_GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+
+# A grid system with fewer rows than unknowns (the contact system without the
+# Reeb constraint: six real equations per point, Coulomb row included, for
+# seven unknowns) has a minimum-norm step, and the norm decides which solution
+# Gauss-Newton walks to.  lsqr runs on J S with S = HORIZONTAL_GAUGE_SCALE on
+# the a1re, a2re columns and 1 elsewhere, and the step is S q: horizontal
+# gauge moves count twice.  With S = 1 the contact solves end near solutions
+# whose Dirac rows barely couple to the gauge field, where lsqr stalls at its
+# cap (README, "Numerical backends").
+HORIZONTAL_GAUGE_SCALE = 0.5
+
+
+def _forcing_term(
+    eta_prev: float, fnorm: float, fnorm_prev: float, lin_prev: float, tol: float
+) -> float:
+    """eta_k = | |F_k| - |F_{k-1} + J_{k-1} p_{k-1}| | / |F_{k-1}|, safeguarded.
+
+    The safeguard keeps eta_k >= eta_{k-1}^((1+sqrt5)/2) while that power
+    exceeds ETA_SAFEGUARD, so one lucky step does not force an over-solve;
+    eta_k >= tol / (2 |F_k|) keeps the last step from solving past the loop
+    tolerance (Kelley 1995, sec. 6.3).
+    """
+    eta = abs(fnorm - lin_prev) / fnorm_prev
+    floor = eta_prev**_GOLDEN
+    if floor > ETA_SAFEGUARD:
+        eta = max(eta, floor)
+    eta = max(eta, 0.5 * tol / fnorm)
+    return min(max(eta, ETA_MIN), ETA_MAX)
 
 
 @dataclass
@@ -692,7 +785,12 @@ def solve(
     opts: SolveOpts = SolveOpts(),
     ph: Optional[PhInvariants] = None,
 ) -> Tuple[MonopoleState, SolveInfo]:
-    """Damped Gauss-Newton on the stacked residual, with gauge fixing."""
+    """Damped Gauss-Newton on the stacked residual, with gauge fixing.
+
+    Invariant sector: exact least-squares steps.  Grid: inexact steps by
+    lsqr on the Jacobian with the Coulomb rows appended (see _forcing_term
+    and HORIZONTAL_GAUGE_SCALE).
+    """
     ph = ph or derive_ph_invariants(model)
     if eps is not None and not ph.torsion.is_zero():
         raise TorsionError("eps-family system requires zero torsion")
@@ -705,8 +803,12 @@ def solve(
     def to_state(x):
         return unpack(x, model, backend, eps)
 
+    coeffs = background_coefficients(ph, model) if eps is not None else None
+    ops = _grid_operator_mats(backend) if grid else None
+    coulomb_weight = math.sqrt(2.0 / backend.n**3) if grid else None
+
     def res(x):
-        return _stack_residual(to_state(x), ph, opts.constraint)
+        return _stack_residual(to_state(x), ph, opts.constraint, coeffs)
 
     def gauge(x):
         if not opts.gauge_fix:
@@ -720,15 +822,33 @@ def solve(
     cost = float(r @ r)
     iterations = 0
     loop_tol = opts.tol if not grid else max(opts.tol, 1e-8)
+    step_scale = None
+    if grid and r.size + backend.n**3 < x.size:  # underdetermined: see above
+        step_scale = np.ones(x.size)
+        step_scale[5 * backend.n**3 :] = HORIZONTAL_GAUGE_SCALE
+    eta, prev = ETA_START, None  # prev: (|F|, |F + J p|) of the last grid step
     for iterations in range(1, opts.max_iter + 1):
         if math.sqrt(cost) <= loop_tol:
             break
         if grid:
-            jac = _grid_jacobian(to_state(x), ph, opts.constraint)
+            st = to_state(x)
+            jac = _grid_jacobian(st, ph, opts.constraint, ops)
+            rhs = -np.concatenate([r, coulomb_weight * _grid_divergence(st.a).ravel()])
+            fnorm = float(np.linalg.norm(rhs))
+            if prev is not None:
+                eta = _forcing_term(eta, fnorm, *prev, loop_tol)
+            if step_scale is not None:
+                jac.data *= step_scale[jac.indices]
             result = spla.lsqr(
-                jac, -r, damp=opts.damping, atol=1e-14, btol=1e-14, iter_lim=3000
+                jac,
+                rhs,
+                damp=opts.damping,
+                atol=LSQR_ATOL,
+                btol=eta,
+                iter_lim=LSQR_ITER_LIM,
             )
-            p = result[0]
+            p = result[0] if step_scale is None else step_scale * result[0]
+            prev = (fnorm, float(result[3]))
         else:
             jac = _invariant_jacobian(to_state(x), ph, opts.constraint)
             p, *_ = np.linalg.lstsq(jac, -r, rcond=None)

@@ -13,6 +13,7 @@ from contactmono.algebra import (
     gen_model,
     hodge_star_eps,
     interior,
+    is_heisenberg,
     make_model,
     model_from_json,
     theta,
@@ -223,3 +224,15 @@ def test_hodge_isometry_random_real_forms(degree, vals, eps):
         assert n.real_sign() == 0
     else:
         assert n.real_sign() == 1
+
+
+def test_is_heisenberg_compares_all_constants_exactly():
+    assert is_heisenberg(catalog_model("heisenberg"))
+    assert is_heisenberg(gen_model(0, 0, "other-name"))
+    assert not is_heisenberg(catalog_model("round-s3"))
+    # valid model (W = -1/2, omega = e1) that agrees with Heisenberg on c^1_02, c^2_01
+    assert not is_heisenberg(model_from_json({"c_0_12": "2", "c_1_12": "1"}))
+    # a constant that lowers to 0.0 as a float is still nonzero
+    tiny = gen_model(Fraction(1, 10**400), 0)
+    assert tiny.c_float(1, 0, 2) == 0.0
+    assert not is_heisenberg(tiny)

@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
-from contactmono.algebra import catalog_model
+from contactmono.algebra import catalog_model, gen_model, model_from_json
 from contactmono.errors import BackendMismatch, TorsionError, WrongModel
 from contactmono.fields import (
     DIR_T,
@@ -159,5 +161,10 @@ def test_anticommutator_invariant_closed_form_matches():
 def test_grid_backend_requires_heisenberg():
     with pytest.raises(WrongModel):
         HeisGridBackend(S3, 8)
+    # agrees with Heisenberg on c^1_02 and c^2_01, the two constants once checked
+    with pytest.raises(WrongModel):
+        HeisGridBackend(model_from_json({"c_0_12": "2", "c_1_12": "1"}), 8)
+    with pytest.raises(WrongModel):
+        HeisGridBackend(gen_model(Fraction(1, 10**400), 0), 8)
     with pytest.raises(ValueError):
         HeisGridBackend(HEIS, 7)

@@ -1,16 +1,27 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from contactmono.algebra import catalog_model
-from contactmono.errors import NotASolution, PreconditionError, TorsionError, WrongModel
+from contactmono import solver as solver_mod
+from contactmono.algebra import catalog_model, exterior_d, gen_model, theta
+from contactmono.errors import (
+    NotASolution,
+    PreconditionError,
+    SolveError,
+    TorsionError,
+    WrongModel,
+)
 from contactmono.fields import (
     GaugeField,
     HeisGridBackend,
     InvariantBackend,
     SpinorField,
+    b_curvature_components,
+    background_coefficients,
     constant_gauge,
+    gauge_curvature_components,
     invariant_gauge,
     invariant_spinor,
     trig_spinor,
@@ -158,6 +169,9 @@ def test_heisenberg_family_examples():
     assert not rep.member and rep.curvature_gap == pytest.approx(0.4)
     with pytest.raises(WrongModel):
         heisenberg_family(S3)
+    # c^1_02 = -2e-400 lowers to -0.0, which the float check took for zero
+    with pytest.raises(WrongModel):
+        heisenberg_family(gen_model(Fraction(1, 10**400), 0))
 
 
 # --- solver ---------------------------------------------------------------------
@@ -419,3 +433,138 @@ def test_dirac_eps_eigenvector_on_grid():
     out = dirac_eps(phi0, zero_gauge(b), PH_HEIS, 0.25)
     assert np.max(np.abs(out.alpha - 0.25)) == 0.0
     assert np.max(np.abs(out.beta1bar)) == 0.0
+
+
+# --- heis-grid inexact Gauss-Newton -------------------------------------------------
+
+
+def _record_lsqr(monkeypatch):
+    """Wrap solver.spla.lsqr; returns the list of its (istop, iterations)."""
+    stops = []
+    lsqr = solver_mod.spla.lsqr
+
+    def recording(*args, **kwargs):
+        out = lsqr(*args, **kwargs)
+        stops.append((out[1], out[2]))
+        return out
+
+    monkeypatch.setattr(solver_mod.spla, "lsqr", recording)
+    return stops
+
+
+@pytest.mark.parametrize("angle", [0.0, 1.0, 2.5])
+def test_grid_eps_solve_under_phase_rotation(monkeypatch, angle):
+    # a constant phase is an exact symmetry; the solve must not depend on it
+    b = HeisGridBackend(HEIS, 8)
+    init = random_monopole_state(HEIS, b, seed=0, eps=0.5)
+    rot = np.exp(1j * angle)
+    init = MonopoleState(
+        a=init.a,
+        phi=SpinorField(init.phi.alpha * rot, init.phi.beta1bar * rot, b),
+        model=HEIS,
+        eps=0.5,
+    )
+    stops = _record_lsqr(monkeypatch)
+    state, info = solve(HEIS, 0.5, init, SolveOpts(seed=0), ph=PH_HEIS)
+    assert info.converged
+    assert residual_sw(state, PH_HEIS).total <= 1e-6
+    assert info.iterations <= 20
+    assert stops and all(istop != 7 for istop, _ in stops)  # 7: stopped at iter_lim
+    # inexact steps: solving every step to roundoff takes over 10x as many
+    assert sum(itn for _, itn in stops) <= 2000
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_grid_contact_solve_seed0_converges(monkeypatch, n):
+    b = HeisGridBackend(HEIS, n)
+    init = random_monopole_state(HEIS, b, seed=0)
+    opts = SolveOpts(seed=0)
+    stops = _record_lsqr(monkeypatch)
+    state, info = solve(HEIS, None, init, opts, ph=PH_HEIS)
+    assert info.converged
+    assert info.iterations < opts.max_iter
+    assert residual_contact(state, PH_HEIS).total <= 1e-6
+    # with equal weights on all unknowns the N=16 end game stalls at the cap
+    assert all(istop != 7 for istop, _ in stops)
+
+
+@pytest.mark.parametrize("eps", [None, 0.5])
+def test_grid_jacobian_matches_directional_difference(eps):
+    # the residual is quadratic, so central differences are exact up to roundoff
+    b = HeisGridBackend(HEIS, 8)
+    s = random_monopole_state(HEIS, b, seed=4, eps=eps)
+    rng = np.random.default_rng(5)
+    x = solver_mod._pack_grid(s)
+    v = rng.normal(size=x.size)
+    jac = solver_mod._grid_jacobian(s, PH_HEIS, True)
+    n3 = b.n**3
+    assert jac.shape == (len(solver_mod._stack_residual(s, PH_HEIS, True)) + n3, 7 * n3)
+
+    def stacked(y):
+        st = solver_mod._unpack_grid(y, HEIS, b, eps)
+        weight = math.sqrt(2.0 / n3)
+        return np.concatenate(
+            [
+                solver_mod._stack_residual(st, PH_HEIS, True),
+                weight * solver_mod._grid_divergence(st.a).ravel(),
+            ]
+        )
+
+    t = 1e-3
+    diff = (stacked(x + t * v) - stacked(x - t * v)) / (2 * t)
+    assert np.max(np.abs(jac @ v - diff)) <= 1e-9 * np.max(np.abs(diff))
+
+
+def test_grid_jacobian_coulomb_block_is_divergence():
+    b = HeisGridBackend(HEIS, 8)
+    n3 = b.n**3
+    s = random_monopole_state(HEIS, b, seed=6, eps=0.5)
+    jac = solver_mod._grid_jacobian(s, PH_HEIS, False)
+    coulomb = jac[-n3:]
+    assert not coulomb[:, : 4 * n3].toarray().any()  # no spinor columns
+    rng = np.random.default_rng(7)
+    shape = (b.n,) * 3
+    va = GaugeField(*(rng.normal(size=shape) for _ in range(3)), b)
+    a = s.a
+
+    def div_at(t):
+        moved = GaugeField(a.a0 + t * va.a0, a.a1re + t * va.a1re, a.a2re + t * va.a2re, b)
+        return solver_mod._grid_divergence(moved).ravel()
+
+    t = 0.25
+    directional = (div_at(t) - div_at(-t)) / (2 * t)
+    v = np.concatenate([np.zeros(4 * n3), va.a0.ravel(), va.a1re.ravel(), va.a2re.ravel()])
+    weight = math.sqrt(2.0 / n3)
+    assert np.allclose(coulomb @ v, weight * directional, rtol=0, atol=1e-12)
+
+
+def test_coulomb_projection_fails_loudly(monkeypatch):
+    b = HeisGridBackend(HEIS, 8)
+    s = random_monopole_state(HEIS, b, seed=0, eps=0.5)
+    monkeypatch.setattr(
+        solver_mod.spla, "cg", lambda op, rhs, **kw: (np.zeros_like(rhs), 1)
+    )
+    with pytest.raises(SolveError):
+        solver_mod._coulomb_project_grid(s)
+    with pytest.raises(SolveError):
+        solve(HEIS, 0.5, s, SolveOpts(seed=0), ph=PH_HEIS)
+
+
+def test_background_coefficients_keep_curvature_bit_identical():
+    b = HeisGridBackend(HEIS, 8)
+    s = random_monopole_state(HEIS, b, seed=2, eps=0.25)
+    # the background term as b_curvature_components derived it on every call
+    domega = exterior_d(PH_HEIS.omega, HEIS)
+    dtheta = exterior_d(theta(), HEIS)
+    coeffs = background_coefficients(PH_HEIS, HEIS)
+    da01, da02, da12 = gauge_curvature_components(s.a, HEIS)
+    for eps in (0.5, 0.25, 1.0 / 64):
+        hoisted = b_curvature_components(s.a, PH_HEIS, HEIS, eps, coeffs)
+        for got, (j, k), da in zip(hoisted, ((1, 2), (0, 1), (0, 2)), (da12, da01, da02)):
+            background = 0.5 * (
+                domega.coeff(j, k).to_complex().real
+                + eps * dtheta.coeff(j, k).to_complex().real
+            )
+            assert np.array_equal(got, background + da)
+        derived = b_curvature_components(s.a, PH_HEIS, HEIS, eps)
+        assert all(np.array_equal(f, g) for f, g in zip(hoisted, derived))
