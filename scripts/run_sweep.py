@@ -14,7 +14,6 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from contactmono import catalog_model, loglog_slope, sweep
-from contactmono.solver import SweepOpts
 
 
 def main():
@@ -25,7 +24,7 @@ def main():
 
     model = catalog_model("heisenberg")
     eps_list = [2.0**-k for k in range(1, args.kmax + 1)]
-    records = sweep(model, eps_list, SweepOpts(seed=args.seed))
+    records = sweep(model, eps_list, seed=args.seed)
 
     print(f"{'eps':>10} {'sup|Phi|^2':>12} {'T-norm^2':>12} {'Xi-norm^2':>12} {'identity':>10} {'it':>3}")
     for r in records:

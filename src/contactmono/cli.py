@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -26,6 +27,7 @@ from .algebra import (
     ModelStructure,
     catalog_model,
     CATALOG_PARAMS,
+    is_heisenberg,
     model_from_json,
 )
 from .clifford import (
@@ -37,7 +39,14 @@ from .clifford import (
     rho_eps,
     unitarity_diagnostic,
 )
-from .errors import ConfigError
+from .errors import (
+    AdmissibilityError,
+    ConfigError,
+    JacobiError,
+    PreconditionError,
+    TorsionError,
+    WrongModel,
+)
 from .exact import ExactComplex, parse_rational, rational_str
 from .fields import HeisGridBackend, InvariantBackend
 from .pseudohermitian import (
@@ -47,9 +56,8 @@ from .pseudohermitian import (
     riemannian_connection,
 )
 from .solver import (
+    HeisenbergFamily,
     SolveOpts,
-    SweepOpts,
-    heisenberg_family,
     loglog_slope,
     random_monopole_state,
     solve,
@@ -59,10 +67,19 @@ from .solver import (
 
 DEFAULT_TOLERANCES = {
     "residual_invariant": 1e-10,
-    "residual_grid": 1e-6,
     "phi_sup": 1e-8,
-    "identity": 1e-9,
 }
+
+# errors in the input: main reports them in one line and exits with INPUT_ERROR
+INPUT_ERRORS = (
+    ConfigError,
+    AdmissibilityError,
+    JacobiError,
+    TorsionError,
+    WrongModel,
+    PreconditionError,
+)
+INPUT_ERROR = 3
 
 COMMANDS = ("derive", "check", "curvature", "solve", "sweep")
 
@@ -78,7 +95,6 @@ class RunConfig:
     seed: int = 0
     seeds: int = 1
     constraint: bool = False
-    threads: int = 1
     tolerances: Mapping[str, float] = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     output: Optional[str] = None
     checkpoint: Optional[str] = None  # grid-state checkpoint path prefix
@@ -96,7 +112,6 @@ class RunConfig:
             "seed": self.seed,
             "seeds": self.seeds,
             "constraint": self.constraint,
-            "threads": self.threads,
             "tolerances": dict(sorted(self.tolerances.items())),
             "output": self.output,
             "checkpoint": self.checkpoint,
@@ -115,7 +130,7 @@ def parse_config(doc: Mapping) -> RunConfig:
         "seed",
         "seeds",
         "constraint",
-        "threads",
+        "threads",  # accepted as 1 only: solves run on one thread
         "tolerances",
         "output",
         "checkpoint",
@@ -123,28 +138,28 @@ def parse_config(doc: Mapping) -> RunConfig:
     extra = set(doc) - known
     if extra:
         raise ConfigError(f"unknown config fields: {sorted(extra)}")
+    if doc.get("threads", 1) != 1:
+        raise ConfigError("threads must be 1")
     command = doc.get("command")
     if command not in COMMANDS:
         raise ConfigError(f"command must be one of {COMMANDS}, got {command!r}")
     backend = doc.get("backend", "invariant")
     if backend not in ("invariant", "heis-grid"):
         raise ConfigError(f"backend must be invariant or heis-grid, got {backend!r}")
-    n = int(doc.get("N", 16))
+    n = _read(doc, "N", 16, int)
     if backend == "heis-grid" and (n <= 0 or n % 2):
         raise ConfigError("N must be even and positive for the grid backend")
-    eps = doc.get("eps")
-    eps = parse_rational(eps) if eps is not None else None
+    eps = _read(doc, "eps", None, parse_rational)
     if eps is not None and eps <= 0:
         raise ConfigError("eps must be positive")
-    eps_list = doc.get("eps_list")
+    eps_list = _read(doc, "eps_list", None, lambda v: [parse_rational(e) for e in v])
     if eps_list is not None:
-        eps_list = [parse_rational(e) for e in eps_list]
         if any(e <= 0 for e in eps_list):
             raise ConfigError("eps_list entries must be positive")
         if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
             raise ConfigError("eps_list must be strictly decreasing")
     tol = dict(DEFAULT_TOLERANCES)
-    tol.update(doc.get("tolerances", {}))
+    tol.update(_parse_tolerances(doc.get("tolerances", {})))
     return RunConfig(
         command=command,
         model=doc.get("model", "heisenberg"),
@@ -152,31 +167,61 @@ def parse_config(doc: Mapping) -> RunConfig:
         eps_list=eps_list,
         backend=backend,
         n=n,
-        seed=int(doc.get("seed", 0)),
-        seeds=int(doc.get("seeds", 1)),
+        seed=_read(doc, "seed", 0, int),
+        seeds=_read(doc, "seeds", 1, int),
         constraint=bool(doc.get("constraint", False)),
-        threads=int(doc.get("threads", 1)),
         tolerances=tol,
         output=doc.get("output"),
         checkpoint=doc.get("checkpoint"),
     )
 
 
+def _read(doc: Mapping, key: str, default, convert):
+    """convert(doc[key]), or default when the key is absent or null."""
+    value = doc.get(key)
+    if value is None:
+        return default
+    try:
+        return convert(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"cannot read {key} from {value!r}") from exc
+
+
+def _parse_tolerances(doc) -> dict:
+    if not isinstance(doc, Mapping):
+        raise ConfigError("tolerances must be a mapping")
+    extra = set(doc) - set(DEFAULT_TOLERANCES)
+    if extra:
+        raise ConfigError(
+            f"unknown tolerances: {sorted(extra)}; known: {sorted(DEFAULT_TOLERANCES)}"
+        )
+    for key, value in doc.items():
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and math.isfinite(value) and value > 0):
+            raise ConfigError(f"tolerance {key} must be a positive number, got {value!r}")
+    return dict(doc)
+
+
 def _resolve_model(spec) -> ModelStructure:
+    """A catalog name, a JSON file, inline JSON or a mapping, as a model."""
     if isinstance(spec, ModelStructure):
         return spec
-    if isinstance(spec, str):
-        if spec in CATALOG_PARAMS:
-            return catalog_model(spec)
-        if spec.strip().startswith("{"):
-            return model_from_json(json.loads(spec))
-        if os.path.exists(spec):
-            with open(spec) as fh:
-                return model_from_json(json.load(fh))
-        raise ConfigError(f"unknown model {spec!r}")
-    if isinstance(spec, Mapping):
-        return model_from_json(spec)
-    raise ConfigError(f"cannot resolve model from {type(spec).__name__}")
+    if isinstance(spec, str) and spec in CATALOG_PARAMS:
+        return catalog_model(spec)
+    try:
+        if isinstance(spec, str):
+            if spec.strip().startswith("{"):
+                spec = json.loads(spec)
+            elif os.path.exists(spec):
+                with open(spec) as fh:
+                    spec = json.load(fh)
+        if isinstance(spec, Mapping):
+            return model_from_json(spec)
+    except INPUT_ERRORS:
+        raise
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"cannot read model: {exc}") from exc
+    raise ConfigError(f"unknown model {spec!r}")
 
 
 def _form_table(form: InvariantForm) -> dict:
@@ -338,15 +383,15 @@ def _solve_one(cfg: RunConfig, m, ph, backend, seed: int) -> dict:
             "a1re": float(np.real(state.a.a1re)),
             "a2re": float(np.real(state.a.a2re)),
         }
-        if m.name == "heisenberg" and cfg.eps is None:
-            out["family_membership"] = heisenberg_family(m).membership(state).as_dict()
+        if is_heisenberg(m) and cfg.eps is None:
+            out["family_membership"] = HeisenbergFamily(m).membership(state).as_dict()
     if cfg.eps is None and ph.tw_curv.is_real() and ph.tw_curv.real_sign() > 0:
         out["certificate"] = vanishing_certificate(
             m,
             state,
             ph,
-            tol_residual=cfg.tolerances.get("residual_invariant", 1e-10) * 100,
-            tol_phi=cfg.tolerances.get("phi_sup", 1e-8),
+            tol_residual=cfg.tolerances["residual_invariant"] * 100,
+            tol_phi=cfg.tolerances["phi_sup"],
         ).as_dict()
     return out
 
@@ -359,14 +404,7 @@ def _cmd_solve(cfg: RunConfig) -> dict:
         if cfg.backend == "invariant"
         else HeisGridBackend(m, cfg.n)
     )
-    seeds = [cfg.seed + k for k in range(cfg.seeds)]
-    if cfg.threads > 1 and len(seeds) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            runs = list(pool.map(lambda s: _solve_one(cfg, m, ph, backend, s), seeds))
-    else:
-        runs = [_solve_one(cfg, m, ph, backend, s) for s in seeds]
+    runs = [_solve_one(cfg, m, ph, backend, cfg.seed + k) for k in range(cfg.seeds)]
     all_converged = all(r["converged"] for r in runs)
     return {"model": m.name, "runs": runs, "all_converged": all_converged}
 
@@ -382,11 +420,7 @@ def _cmd_sweep(cfg: RunConfig) -> dict:
         else HeisGridBackend(m, cfg.n)
     )
     records = sweep(
-        m,
-        [float(e) for e in cfg.eps_list],
-        SweepOpts(seed=cfg.seed),
-        backend=backend,
-        ph=ph,
+        m, [float(e) for e in cfg.eps_list], seed=cfg.seed, backend=backend, ph=ph
     )
     eps_vals = [r.eps for r in records]
     slopes = {
@@ -473,8 +507,16 @@ def run(cfg: RunConfig):
     return exit_code, report
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on the input-error exit code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="contactmono",
         description="workbench for monopole equations on homogeneous contact 3-manifolds",
     )
@@ -485,7 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", help="catalog name, JSON file, or inline JSON")
         p.add_argument("--output", help="write the JSON report here")
         p.add_argument("--seed", type=int)
-        p.add_argument("--threads", type=int)
         if name in ("derive", "curvature", "solve"):
             p.add_argument("--eps", help="rational, e.g. 1/2")
         if name == "sweep":
@@ -504,11 +545,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the command line; exit codes 0, 1 and 2 as in run, INPUT_ERROR on bad input."""
     args = build_parser().parse_args(argv)
+    try:
+        code, _ = run(parse_config(_flags_over_config(args)))
+    except INPUT_ERRORS as exc:
+        sys.stderr.write(f"contactmono: error: {exc}\n")
+        return INPUT_ERROR
+    return code
+
+
+def _flags_over_config(args) -> dict:
+    """The --config document with the given flags written over it."""
     doc = {}
     if args.config:
-        with open(args.config) as fh:
-            doc.update(json.load(fh))
+        try:
+            with open(args.config) as fh:
+                doc.update(json.load(fh))
+        except (OSError, TypeError, ValueError) as exc:
+            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     doc["command"] = args.command
     if args.model is not None:
         doc["model"] = args.model
@@ -528,13 +583,7 @@ def main(argv=None) -> int:
         doc["seeds"] = args.seeds
     if getattr(args, "reeb_constraint", False):
         doc["constraint"] = True
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("CONTACTMONO_THREADS", "1"))
-    doc["threads"] = threads
-    cfg = parse_config(doc)
-    code, _ = run(cfg)
-    return code
+    return doc
 
 
 if __name__ == "__main__":

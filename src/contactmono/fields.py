@@ -12,7 +12,7 @@ permutation, so the discrete frame operators are exactly skew-adjoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -25,29 +25,46 @@ DIR_Z1 = "1"
 DIR_Z1BAR = "1bar"
 
 
-class InvariantBackend:
-    """Constant-coefficient fields; all frame derivatives are zero."""
+class Backend:
+    """What the field operators need of a backend.
+
+    A backend has `shape` (the array shape of one field component), `n_points`
+    and the frame derivatives `d_T`, `d_e1`, `d_e2`; integrals are point sums
+    weighted by volume / n_points.
+    """
+
+    volume = 2.0  # contact volume of the unit fundamental domain
+
+    def zero(self):
+        return np.zeros(self.shape, dtype=complex)[()]
+
+    def integrate(self, values):
+        return complex(np.sum(values)) * (self.volume / self.n_points)
+
+    def sup(self, values):
+        return float(np.max(np.abs(values)))
+
+
+class InvariantBackend(Backend):
+    """Constant-coefficient fields: the grid at one point, no frame derivatives."""
 
     kind = "invariant"
+    shape = ()
+    n_points = 1
 
     def __init__(self, model: ModelStructure):
         self.model = model
-        self.volume = 2.0  # contact volume of the unit fundamental domain
 
-    def zero(self):
+    def d_T(self, arr):
         return 0j
 
-    def integrate(self, values):
-        return values * self.volume
-
-    def sup(self, values):
-        return abs(values)
+    d_e1 = d_e2 = d_T
 
     def __repr__(self):
         return f"InvariantBackend({self.model.name})"
 
 
-class HeisGridBackend:
+class HeisGridBackend(Backend):
     """N^3 grid on the Heisenberg nilmanifold with the twisted y-wrap."""
 
     kind = "heis-grid"
@@ -60,7 +77,8 @@ class HeisGridBackend:
         self.model = model
         self.n = n
         self.h = 1.0 / n
-        self.volume = 2.0
+        self.shape = (n, n, n)
+        self.n_points = n**3
         self.y = (np.arange(n) * self.h)[None, :, None]  # broadcast over (i,j,k)
         self._build_wraps(n)
 
@@ -96,15 +114,6 @@ class HeisGridBackend:
     def d_e2(self, arr):
         return (self._shift(arr, self.yp) - self._shift(arr, self.ym)) / (2 * self.h)
 
-    def zero(self):
-        return np.zeros((self.n, self.n, self.n), dtype=complex)
-
-    def integrate(self, values):
-        return complex(np.sum(values)) * (self.volume / self.n**3)
-
-    def sup(self, values):
-        return float(np.max(np.abs(values)))
-
     def coords(self):
         n = self.n
         x = (np.arange(n) * self.h)[:, None, None]
@@ -114,9 +123,6 @@ class HeisGridBackend:
 
     def __repr__(self):
         return f"HeisGridBackend(N={self.n})"
-
-
-Backend = Union[InvariantBackend, HeisGridBackend]
 
 
 def _check_same_backend(*objs):
@@ -167,9 +173,6 @@ class GaugeField:
     a2re: object
     backend: Backend
 
-    def aT(self):
-        return self.a0
-
     def aZ1(self):
         return (self.a1re - 1j * self.a2re) * 0.5
 
@@ -177,19 +180,8 @@ class GaugeField:
         return (self.a1re + 1j * self.a2re) * 0.5
 
 
-def invariant_spinor(backend: InvariantBackend, alpha, beta1bar) -> SpinorField:
-    return SpinorField(alpha, beta1bar, backend)
-
-
-def invariant_gauge(backend: InvariantBackend, a0, a1re, a2re) -> GaugeField:
-    return GaugeField(a0, a1re, a2re, backend)
-
-
 def zero_gauge(backend: Backend) -> GaugeField:
-    if backend.kind == "invariant":
-        return GaugeField(0.0, 0.0, 0.0, backend)
-    z = np.zeros((backend.n,) * 3)
-    return GaugeField(z, z.copy(), z.copy(), backend)
+    return GaugeField(*(np.zeros(backend.shape)[()] for _ in range(3)), backend)
 
 
 def _omega_weights(ph: PhInvariants):
@@ -203,8 +195,6 @@ def _omega_weights(ph: PhInvariants):
 
 
 def _frame_derivative(backend: Backend, direction: str, arr):
-    if backend.kind == "invariant":
-        return 0j
     if direction == DIR_T:
         return backend.d_T(arr)
     if direction == DIR_Z1:
@@ -230,7 +220,7 @@ def cov_deriv(
         twist = 0j
     else:
         twist = {
-            DIR_T: 1j * a.aT(),
+            DIR_T: 1j * a.a0,
             DIR_Z1: 1j * a.aZ1(),
             DIR_Z1BAR: 1j * a.aZ1bar(),
         }[direction]
@@ -361,12 +351,11 @@ def gauge_curvature_components(a: GaugeField, m: ModelStructure):
     """
     b = a.backend
     comps = (a.a0, a.a1re, a.a2re)
-    if b.kind == "invariant":
-        d = {0: 0.0, 1: 0.0, 2: 0.0}
-        deriv = lambda j, k: 0.0  # noqa: E731
-    else:
-        ops = {0: b.d_T, 1: b.d_e1, 2: b.d_e2}
-        deriv = lambda j, k: ops[j](comps[k] + 0j).real  # noqa: E731
+    ops = (b.d_T, b.d_e1, b.d_e2)
+
+    def deriv(j, k):
+        return ops[j](comps[k] + 0j).real
+
     out = []
     for (j, k) in ((0, 1), (0, 2), (1, 2)):
         struct = sum(comps[i] * m.c_float(i, j, k) for i in range(3))
@@ -462,10 +451,6 @@ def gauge_transform(a: GaugeField, f: SpinorField, chi) -> Tuple[GaugeField, Spi
     the grid for smooth chi).
     """
     b = a.backend
-    if b.kind == "invariant":
-        # constant chi: a unchanged
-        phase = np.exp(1j * chi)
-        return a, SpinorField(f.alpha * phase, f.beta1bar * phase, b)
     d0 = b.d_T(chi + 0j).real
     d1 = b.d_e1(chi + 0j).real
     d2 = b.d_e2(chi + 0j).real
@@ -473,40 +458,6 @@ def gauge_transform(a: GaugeField, f: SpinorField, chi) -> Tuple[GaugeField, Spi
     phase = np.exp(1j * chi)
     f_new = SpinorField(f.alpha * phase, f.beta1bar * phase, b)
     return a_new, f_new
-
-
-# --- deterministic test states -------------------------------------------------
-
-
-def trig_spinor(backend: HeisGridBackend, rng: np.random.Generator, kmax: int = 2) -> SpinorField:
-    """Random trigonometric-polynomial spinor in the z-independent sector.
-
-    Pure plane waves exp(2 pi i (k x + l y)) are the honest trigonometric
-    functions on the nilmanifold; z-carrying modes are theta-like and are
-    generated separately by theta_state.
-    """
-    x, y, _ = backend.coords()
-    shape = (backend.n,) * 3
-
-    def field():
-        out = np.zeros(shape, dtype=complex)
-        for k in range(-kmax, kmax + 1):
-            for l in range(-kmax, kmax + 1):
-                c = rng.normal(scale=1.0 / (1 + k * k + l * l)) + 1j * rng.normal(
-                    scale=1.0 / (1 + k * k + l * l)
-                )
-                out = out + c * np.exp(2j * np.pi * (k * x + l * y))
-        return out
-
-    return SpinorField(field(), field(), backend)
-
-
-def constant_gauge(backend: HeisGridBackend, rng: np.random.Generator) -> GaugeField:
-    shape = (backend.n,) * 3
-    vals = rng.normal(scale=0.5, size=3)
-    return GaugeField(
-        np.full(shape, vals[0]), np.full(shape, vals[1]), np.full(shape, vals[2]), backend
-    )
 
 
 def save_grid_fields(prefix: str, backend: HeisGridBackend, named_fields):
@@ -560,18 +511,3 @@ def load_grid_fields(prefix: str, model: ModelStructure):
         chunk = raw[2 * n3 * i : 2 * n3 * (i + 1)].reshape(n3, 2)
         out[name] = (chunk[:, 0] + 1j * chunk[:, 1]).reshape((backend.n,) * 3)
     return backend, out
-
-
-def theta_state(backend: HeisGridBackend, m: int = 1, sigma: float = 0.2, kmax: int = 5):
-    """Deck-invariant smooth function with z-frequency m.
-
-    f = exp(2 pi i m z) sum_n phi(y - n) exp(-4 pi i m n x) with a Gaussian
-    bump phi; invariant under (x,y+1,z+2x) by the index shift n -> n+1.
-    """
-    x, y, z = backend.coords()
-    out = np.zeros((backend.n,) * 3, dtype=complex)
-    for n in range(-kmax, kmax + 1):
-        out = out + np.exp(-((y - n - 0.5) ** 2) / (2 * sigma**2)) * np.exp(
-            -4j * np.pi * m * n * x
-        )
-    return out * np.exp(2j * np.pi * m * z)

@@ -19,7 +19,7 @@ Gauss-Newton on the stacked weighted residual; the optional Reeb constraint
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,6 +42,7 @@ from .fields import (
     dirac_eps,
     dirac_xi,
     gauge_curvature_components,
+    gauge_transform,
     l2_norm_sq,
     scalar_l2_norm_sq,
     sup_phi_sq,
@@ -77,10 +78,22 @@ class ResidualReport:
         }
 
 
-def _reeb_constraint_norm_sq(s: MonopoleState, ph: PhInvariants) -> float:
-    da = cov_deriv(s.phi, DIR_T, s.a, ph)
-    return scalar_l2_norm_sq(s.backend, da.alpha) + scalar_l2_norm_sq(
-        s.backend, da.beta1bar
+def _residual_report(s: MonopoleState, ph: PhInvariants) -> ResidualReport:
+    """L^2 norms of the blocks of _residual_fields, Reeb constraint included.
+
+    The first two fields are the Dirac rows and the last two the constraint;
+    the curvature rows lie between them.
+    """
+    sq = [
+        scalar_l2_norm_sq(s.backend, vals)
+        for _, vals in _residual_fields(s, ph, constraint=True)
+    ]
+    dirac, curv, constraint = sum(sq[:2]), sum(sq[2:-2]), sum(sq[-2:])
+    return ResidualReport(
+        r_dirac=math.sqrt(dirac),
+        r_curv=math.sqrt(curv),
+        r_constraint=math.sqrt(constraint),
+        total=math.sqrt(dirac + curv),
     )
 
 
@@ -88,43 +101,14 @@ def residual_contact(s: MonopoleState, ph: PhInvariants) -> ResidualReport:
     """Residual of the contact monopole system (eps-free)."""
     if s.eps is not None:
         raise ValueError("state carries eps; use residual_sw")
-    d = dirac_xi(s.phi, s.a, ph)
-    r_dirac_sq = l2_norm_sq(d)
-    _, _, da12 = gauge_curvature_components(s.a, s.model)
-    w = ph.webster_float()
-    curv = da12 - w - s.phi.alpha * np.conj(s.phi.alpha) + s.phi.beta1bar * np.conj(
-        s.phi.beta1bar
-    )
-    r_curv_sq = scalar_l2_norm_sq(s.backend, curv)
-    r_con_sq = _reeb_constraint_norm_sq(s, ph)
-    return ResidualReport(
-        r_dirac=math.sqrt(max(r_dirac_sq, 0.0)),
-        r_curv=math.sqrt(max(r_curv_sq, 0.0)),
-        r_constraint=math.sqrt(max(r_con_sq, 0.0)),
-        total=math.sqrt(max(r_dirac_sq + r_curv_sq, 0.0)),
-    )
+    return _residual_report(s, ph)
 
 
 def residual_sw(s: MonopoleState, ph: PhInvariants) -> ResidualReport:
     """Residual of the eps-family system (both curvature lines included)."""
     if s.eps is None:
         raise ValueError("state carries no eps; use residual_contact")
-    d = dirac_eps(s.phi, s.a, ph, s.eps)
-    r_dirac_sq = l2_norm_sq(d)
-    f12, f01, f02 = b_curvature_components(s.a, ph, s.model, s.eps)
-    alpha, beta = s.phi.alpha, s.phi.beta1bar
-    line1 = f12 - 0.5 * (alpha * np.conj(alpha) - beta * np.conj(beta))
-    line2 = (f01 + 1j * f02) / float(s.eps) - np.conj(alpha) * beta
-    r_curv_sq = scalar_l2_norm_sq(s.backend, line1) + scalar_l2_norm_sq(
-        s.backend, line2
-    )
-    r_con_sq = _reeb_constraint_norm_sq(s, ph)
-    return ResidualReport(
-        r_dirac=math.sqrt(max(r_dirac_sq, 0.0)),
-        r_curv=math.sqrt(max(r_curv_sq, 0.0)),
-        r_constraint=math.sqrt(max(r_con_sq, 0.0)),
-        total=math.sqrt(max(r_dirac_sq + r_curv_sq, 0.0)),
-    )
+    return _residual_report(s, ph)
 
 
 @dataclass(frozen=True)
@@ -258,51 +242,26 @@ class HeisenbergFamily:
         )
 
 
-def heisenberg_family(model: ModelStructure) -> HeisenbergFamily:
-    return HeisenbergFamily(model)
-
-
 # --- packing / residual vectors -------------------------------------------------
 
 
-def _pack_invariant(s: MonopoleState) -> np.ndarray:
-    return np.array(
-        [
-            s.phi.alpha.real,
-            s.phi.alpha.imag,
-            s.phi.beta1bar.real,
-            s.phi.beta1bar.imag,
-            float(np.real(s.a.a0)),
-            float(np.real(s.a.a1re)),
-            float(np.real(s.a.a2re)),
-        ]
+def _pack(s: MonopoleState) -> np.ndarray:
+    """[Re alpha, Im alpha, Re beta, Im beta, a0, a1re, a2re], n_points each."""
+    phi, a = s.phi, s.a
+    parts = (
+        phi.alpha.real,
+        phi.alpha.imag,
+        phi.beta1bar.real,
+        phi.beta1bar.imag,
+        a.a0,
+        a.a1re,
+        a.a2re,
     )
+    return np.concatenate([np.ravel(np.real(v)) for v in parts])
 
 
-def _unpack_invariant(x: np.ndarray, model, backend, eps) -> MonopoleState:
-    phi = SpinorField(x[0] + 1j * x[1], x[2] + 1j * x[3], backend)
-    a = GaugeField(x[4], x[5], x[6], backend)
-    return MonopoleState(a=a, phi=phi, model=model, eps=eps)
-
-
-def _pack_grid(s: MonopoleState) -> np.ndarray:
-    return np.concatenate(
-        [
-            s.phi.alpha.real.ravel(),
-            s.phi.alpha.imag.ravel(),
-            s.phi.beta1bar.real.ravel(),
-            s.phi.beta1bar.imag.ravel(),
-            s.a.a0.ravel(),
-            s.a.a1re.ravel(),
-            s.a.a2re.ravel(),
-        ]
-    )
-
-
-def _unpack_grid(x: np.ndarray, model, backend, eps) -> MonopoleState:
-    n3 = backend.n**3
-    shape = (backend.n,) * 3
-    parts = [x[i * n3 : (i + 1) * n3].reshape(shape) for i in range(7)]
+def _unpack(x: np.ndarray, model, backend, eps) -> MonopoleState:
+    parts = x.reshape((7,) + backend.shape)
     phi = SpinorField(parts[0] + 1j * parts[1], parts[2] + 1j * parts[3], backend)
     a = GaugeField(parts[4], parts[5], parts[6], backend)
     return MonopoleState(a=a, phi=phi, model=model, eps=eps)
@@ -346,11 +305,7 @@ def _residual_fields(
 def _stack_residual(
     s: MonopoleState, ph: PhInvariants, constraint: bool, coeffs=None
 ) -> np.ndarray:
-    b = s.backend
-    if b.kind == "invariant":
-        weight = math.sqrt(2.0)
-    else:
-        weight = math.sqrt(2.0 / b.n**3)
+    weight = math.sqrt(s.backend.volume / s.backend.n_points)
     rows = []
     for kind, vals in _residual_fields(s, ph, constraint, coeffs):
         arr = np.asarray(vals)
@@ -609,7 +564,7 @@ def _invariant_jacobian(
     s: MonopoleState, ph: PhInvariants, constraint: bool
 ) -> np.ndarray:
     """Exact Jacobian by central differences (residual is quadratic)."""
-    x0 = _pack_invariant(s)
+    x0 = _pack(s)
     backend = s.backend
     h = 1.0 / 64.0  # dyadic step keeps the arithmetic exact for quadratics
     cols = []
@@ -619,10 +574,10 @@ def _invariant_jacobian(
         xp[i] += h
         xm[i] -= h
         rp = _stack_residual(
-            _unpack_invariant(xp, s.model, backend, s.eps), ph, constraint
+            _unpack(xp, s.model, backend, s.eps), ph, constraint
         )
         rm = _stack_residual(
-            _unpack_invariant(xm, s.model, backend, s.eps), ph, constraint
+            _unpack(xm, s.model, backend, s.eps), ph, constraint
         )
         cols.append((rp - rm) / (2 * h))
     return np.stack(cols, axis=1)
@@ -654,18 +609,16 @@ def _coulomb_project_grid(s: MonopoleState) -> MonopoleState:
     """Project a to the discrete Coulomb slice and fix the base-point phase.
 
     Solves the frame Laplacian Delta chi = div(a) by conjugate gradients and
-    applies a -> a - d chi, Phi -> exp(-i chi) Phi.  Raises SolveError when
-    CG does not converge.
+    applies gauge_transform(a, Phi, chi).  Raises SolveError when CG does not
+    converge.
     """
     b = s.backend
-    n3 = b.n**3
+    n3 = b.n_points
     rhs = _grid_divergence(s.a).ravel()
     rhs = rhs - rhs.mean()
 
-    shape = (b.n,) * 3
-
     def lap(v):
-        arr = v.reshape(shape) + 0j
+        arr = v.reshape(b.shape) + 0j
         out = b.d_T(b.d_T(arr)) + b.d_e1(b.d_e1(arr)) + b.d_e2(b.d_e2(arr))
         return out.real.ravel()
 
@@ -673,14 +626,7 @@ def _coulomb_project_grid(s: MonopoleState) -> MonopoleState:
     chi, info = spla.cg(op, rhs, rtol=1e-12, atol=1e-14, maxiter=300)
     if info != 0:
         raise SolveError(f"Coulomb gauge projection: CG stopped with info={info}")
-    chi = chi - chi.mean()
-    chi = chi.reshape(shape)
-    d0 = b.d_T(chi + 0j).real
-    d1 = b.d_e1(chi + 0j).real
-    d2 = b.d_e2(chi + 0j).real
-    a_new = GaugeField(s.a.a0 - d0, s.a.a1re - d1, s.a.a2re - d2, b)
-    phase = np.exp(1j * chi)  # pairs with a - d(chi) under the +ia twist
-    phi_new = SpinorField(s.phi.alpha * phase, s.phi.beta1bar * phase, b)
+    a_new, phi_new = gauge_transform(s.a, s.phi, (chi - chi.mean()).reshape(b.shape))
     # base-point phase fix
     ref = phi_new.alpha.ravel()[0]
     if abs(ref) > 1e-12:
@@ -699,6 +645,7 @@ ETA_START = 0.5
 ETA_MIN, ETA_MAX = 1e-6, 0.5
 ETA_SAFEGUARD = 0.1
 LSQR_ATOL = 1e-14
+LSQR_DAMP = 1e-12
 LSQR_ITER_LIM = 3000
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -731,15 +678,17 @@ def _forcing_term(
     return min(max(eta, ETA_MIN), ETA_MAX)
 
 
+# a solve has converged when its residual norm is below these
+CONVERGED_INVARIANT = 1e-10
+CONVERGED_GRID = 1e-6
+
+
 @dataclass
 class SolveOpts:
     max_iter: int = 80
     tol: float = 1e-12
-    converged_tol: Optional[float] = None  # default: 1e-10 invariant, 1e-6 grid
     constraint: bool = False
-    damping: float = 1e-12
     seed: int = 0
-    init_scale: float = 0.6
     gauge_fix: bool = True
 
 
@@ -797,15 +746,13 @@ def solve(
     backend = init.backend
     state = MonopoleState(a=init.a, phi=init.phi, model=model, eps=eps)
     grid = backend.kind == "heis-grid"
-    pack = _pack_grid if grid else _pack_invariant
-    unpack = _unpack_grid if grid else _unpack_invariant
 
     def to_state(x):
-        return unpack(x, model, backend, eps)
+        return _unpack(x, model, backend, eps)
 
     coeffs = background_coefficients(ph, model) if eps is not None else None
     ops = _grid_operator_mats(backend) if grid else None
-    coulomb_weight = math.sqrt(2.0 / backend.n**3) if grid else None
+    coulomb_weight = math.sqrt(backend.volume / backend.n_points)
 
     def res(x):
         return _stack_residual(to_state(x), ph, opts.constraint, coeffs)
@@ -814,18 +761,18 @@ def solve(
         if not opts.gauge_fix:
             return x
         if grid:
-            return pack(_coulomb_project_grid(to_state(x)))
+            return _pack(_coulomb_project_grid(to_state(x)))
         return _phase_fix_invariant(x)
 
-    x = gauge(pack(state))
+    x = gauge(_pack(state))
     r = res(x)
     cost = float(r @ r)
     iterations = 0
     loop_tol = opts.tol if not grid else max(opts.tol, 1e-8)
     step_scale = None
-    if grid and r.size + backend.n**3 < x.size:  # underdetermined: see above
+    if grid and r.size + backend.n_points < x.size:  # underdetermined: see above
         step_scale = np.ones(x.size)
-        step_scale[5 * backend.n**3 :] = HORIZONTAL_GAUGE_SCALE
+        step_scale[5 * backend.n_points :] = HORIZONTAL_GAUGE_SCALE
     eta, prev = ETA_START, None  # prev: (|F|, |F + J p|) of the last grid step
     for iterations in range(1, opts.max_iter + 1):
         if math.sqrt(cost) <= loop_tol:
@@ -842,7 +789,7 @@ def solve(
             result = spla.lsqr(
                 jac,
                 rhs,
-                damp=opts.damping,
+                damp=LSQR_DAMP,
                 atol=LSQR_ATOL,
                 btol=eta,
                 iter_lim=LSQR_ITER_LIM,
@@ -874,9 +821,7 @@ def solve(
     rep = (
         residual_contact(final, ph) if eps is None else residual_sw(final, ph)
     )
-    threshold = opts.converged_tol
-    if threshold is None:
-        threshold = 1e-6 if grid else 1e-10
+    threshold = CONVERGED_GRID if grid else CONVERGED_INVARIANT
     converged = math.sqrt(cost) <= max(opts.tol, threshold)
     return final, SolveInfo(
         converged=converged, iterations=iterations, report=rep, seed=opts.seed
@@ -959,13 +904,10 @@ class SweepRecord:
         }
 
 
-@dataclass
-class SweepOpts:
-    seed: int = 0
-    reseed_phi: bool = True
-    phi_floor: float = 1e-6
-    phi_scale: float = 0.5
-    solve: SolveOpts = field(default_factory=SolveOpts)
+# A sweep draws its initial state at SWEEP_PHI_SCALE, and it redraws Phi
+# before a step whose warm start has sup|Phi|^2 below SWEEP_PHI_FLOOR.
+SWEEP_PHI_FLOOR = 1e-6
+SWEEP_PHI_SCALE = 0.5
 
 
 def sweep_diagnostics(s: MonopoleState, ph: PhInvariants) -> dict:
@@ -1003,7 +945,7 @@ def sweep_diagnostics(s: MonopoleState, ph: PhInvariants) -> dict:
 def sweep(
     model: ModelStructure,
     eps_list: Sequence[float],
-    opts: SweepOpts = SweepOpts(),
+    seed: int = 0,
     backend=None,
     ph: Optional[PhInvariants] = None,
 ) -> List[SweepRecord]:
@@ -1013,23 +955,23 @@ def sweep(
         raise ValueError("eps_list must be strictly decreasing")
     ph = ph or derive_ph_invariants(model)
     backend = backend or InvariantBackend(model)
-    rng = np.random.default_rng(opts.seed)
+    rng = np.random.default_rng(seed)
     state = random_monopole_state(
-        model, backend, seed=opts.seed, eps=eps_values[0], scale=opts.phi_scale
+        model, backend, seed=seed, eps=eps_values[0], scale=SWEEP_PHI_SCALE
     )
     records: List[SweepRecord] = []
     for e in eps_values:
         state = MonopoleState(a=state.a, phi=state.phi, model=model, eps=e)
-        if opts.reseed_phi and sup_phi_sq(state.phi) < opts.phi_floor:
+        if sup_phi_sq(state.phi) < SWEEP_PHI_FLOOR:
             fresh = random_monopole_state(
                 model,
                 backend,
                 seed=int(rng.integers(0, 2**31)),
                 eps=e,
-                scale=opts.phi_scale,
+                scale=SWEEP_PHI_SCALE,
             )
             state = MonopoleState(a=state.a, phi=fresh.phi, model=model, eps=e)
-        state, info = solve(model, e, state, opts.solve, ph=ph)
+        state, info = solve(model, e, state, ph=ph)
         diag = sweep_diagnostics(state, ph)
         records.append(
             SweepRecord(

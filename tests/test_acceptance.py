@@ -51,12 +51,7 @@ from contactmono.fields import (
     InvariantBackend,
     SpinorField,
     adjoint_check,
-    constant_gauge,
     dirac_eps,
-    invariant_gauge,
-    invariant_spinor,
-    theta_state,
-    trig_spinor,
     zero_gauge,
     DIR_T,
     DIR_Z1,
@@ -69,10 +64,9 @@ from contactmono.pseudohermitian import (
     gen_closed_forms,
 )
 from contactmono.solver import (
+    HeisenbergFamily,
     MonopoleState,
     SolveOpts,
-    SweepOpts,
-    heisenberg_family,
     loglog_slope,
     random_monopole_state,
     solve,
@@ -80,6 +74,7 @@ from contactmono.solver import (
     vanishing_certificate,
     weitzenbock_energy,
 )
+from grid_states import constant_gauge, theta_state, trig_spinor
 
 HEIS = catalog_model("heisenberg")
 S3 = catalog_model("round-s3")
@@ -144,7 +139,7 @@ def test_criterion_2_clifford_dirac_suite():
     # eigen-identity of the canonical section, exactly, torsion-free models
     for model, ph in ((HEIS, PH_HEIS), (S3, PH_S3)):
         b = InvariantBackend(model)
-        phi0 = invariant_spinor(b, 1 + 0j, 0j)
+        phi0 = SpinorField(1 + 0j, 0j, b)
         for eps in (1.0, 0.5, 0.25):
             out = dirac_eps(phi0, zero_gauge(b), ph, eps)
             ok &= out.alpha == eps and out.beta1bar == 0
@@ -192,8 +187,8 @@ def test_criterion_4_weitzenbock_invariant_exact():
         for alpha, beta in basis:
             for a0, a1, a2 in gauges:
                 s = MonopoleState(
-                    a=invariant_gauge(b, a0, a1, a2),
-                    phi=invariant_spinor(b, complex(alpha), complex(beta)),
+                    a=GaugeField(a0, a1, a2, b),
+                    phi=SpinorField(complex(alpha), complex(beta), b),
                     model=model,
                 )
                 rep = weitzenbock_energy(s, ph)
@@ -252,7 +247,7 @@ def test_criterion_5_vanishing_certificate():
 
 def test_criterion_6_heisenberg_family():
     t0 = time.perf_counter()
-    fam = heisenberg_family(HEIS)
+    fam = HeisenbergFamily(HEIS)
     b = InvariantBackend(HEIS)
     ok = True
     nontrivial = 0
@@ -278,7 +273,7 @@ def test_criterion_6_heisenberg_family():
 
 @pytest.fixture(scope="module")
 def sweep_records():
-    return sweep(HEIS, EPS_SWEEP, SweepOpts(seed=0), ph=PH_HEIS)
+    return sweep(HEIS, EPS_SWEEP, seed=0, ph=PH_HEIS)
 
 
 def test_criterion_7a_sweep_energy_identity(sweep_records):
@@ -409,7 +404,7 @@ def test_criterion_7c_sweep_sup_bound(sweep_records):
 def test_criterion_7d_sweep_limit_residual(sweep_records):
     # prefixes of the ladder ending at 2^-2 .. 2^-6; the last is the full sweep
     prefixes = [
-        sweep(HEIS, EPS_SWEEP[:k], SweepOpts(seed=0), ph=PH_HEIS)
+        sweep(HEIS, EPS_SWEEP[:k], seed=0, ph=PH_HEIS)
         for k in range(2, len(EPS_SWEEP))
     ] + [sweep_records]
     ok, detail = check_limit_residual(prefixes, sweep_records)

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from contactmono.cli import main, parse_config, run
+from contactmono import cli
+from contactmono.cli import INPUT_ERRORS, main, parse_config, run
 from contactmono.errors import ConfigError
 
 
@@ -175,3 +176,94 @@ def test_config_file_with_flag_override(tmp_path):
     assert data["config"]["model"] == "round-s3"
     assert data["config"]["seed"] == 5
     assert data["result"]["eps"] == "1/2"
+
+
+def test_parse_config_accepts_threads_one_only():
+    cfg = parse_config({"command": "derive", "threads": 1})
+    assert "threads" not in cfg.effective()
+    with pytest.raises(ConfigError):
+        parse_config({"command": "derive", "threads": 2})
+
+
+def test_parse_config_tolerances():
+    cfg = parse_config({"command": "solve", "tolerances": {"phi_sup": 1e-6}})
+    assert cfg.effective()["tolerances"] == {"phi_sup": 1e-6, "residual_invariant": 1e-10}
+    bad = [
+        {"phi_sup": "abc"},
+        {"phi_sup": 0},
+        {"residual_invariant": -1e-10},
+        {"phi_sup": True},
+        {"phi_sup": float("nan")},
+        {"residual_grid": 1e-6},
+        {"identity": 1e-9},
+        ["phi_sup"],
+    ]
+    for tol in bad:
+        with pytest.raises(ConfigError):
+            parse_config({"command": "solve", "tolerances": tol})
+
+
+def _one_line_error(capsys, fragment):
+    err = capsys.readouterr().err
+    assert err.startswith("contactmono: error: ") and err.count("\n") == 1, err
+    assert fragment in err
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["solve", "--model", "torsion", "--eps", "1/2"], "zero torsion"),
+        (["solve", "--model", "round-s3", "--backend", "heis-grid", "--N", "8"], "Heisenberg"),
+        (["derive", "--model", '{"c_0_12": "1"}'], "de^0 must equal"),
+        (["derive", "--model", '{"c_0_12": "2", "c_1_01": "1"}'], "d(de^0) != 0"),
+        (["derive", "--model", "{bad"], "cannot read model"),
+        (["derive", "--eps", "abc"], "cannot read eps"),
+    ],
+)
+def test_main_bad_input_exits_3(argv, fragment, capsys):
+    assert main(argv) == 3
+    _one_line_error(capsys, fragment)
+
+
+def test_main_bad_config_file_exits_3(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    for doc, fragment in (
+        ({"tolerances": {"phi_sup": "abc"}}, "phi_sup"),
+        ({"tolerances": {"residual_grid": 1e-6}}, "residual_grid"),
+        ({"threads": 2}, "threads"),
+    ):
+        cfg_file.write_text(json.dumps(doc))
+        assert main(["solve", "--config", str(cfg_file)]) == 3
+        _one_line_error(capsys, fragment)
+    assert main(["solve", "--config", str(tmp_path / "missing.json")]) == 3
+    _one_line_error(capsys, "missing.json")
+
+
+@pytest.mark.parametrize("error", INPUT_ERRORS)
+def test_main_maps_each_input_error_to_exit_3(error, monkeypatch, capsys):
+    def fail(cfg):
+        raise error("bad input")
+
+    monkeypatch.setattr(cli, "run", fail)
+    assert main(["derive"]) == 3
+    _one_line_error(capsys, "bad input")
+
+
+@pytest.mark.parametrize(
+    "argv", [["solve", "--threads", "2"], ["fly"], ["solve", "--N", "eight"]]
+)
+def test_main_usage_errors_exit_3(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    assert "contactmono" in capsys.readouterr().err
+
+
+def test_main_identifies_heisenberg_by_structure(tmp_path):
+    # a round-s3 structure under the name "heisenberg" gets no family check
+    out = tmp_path / "r.json"
+    model = '{"name": "heisenberg", "p": "1", "q": "1"}'
+    assert main(["solve", "--model", model, "--output", str(out)]) == 0
+    run_report = json.loads(out.read_text())["result"]["runs"][0]
+    assert "family_membership" not in run_report
+    assert run_report["certificate"]["verdict"] == "consistent-with-vanishing"

@@ -12,16 +12,14 @@ from contactmono.fields import (
     adjoint_check,
     anticommutator_pair,
     cov_deriv,
-    constant_gauge,
     dirac_xi,
     divergence_check,
     gauge_transform,
     l2_inner,
     l2_norm_sq,
-    theta_state,
-    trig_spinor,
     zero_gauge,
 )
+from grid_states import constant_gauge, theta_state, trig_spinor
 from contactmono.pseudohermitian import derive_ph_invariants
 
 HEIS = catalog_model("heisenberg")

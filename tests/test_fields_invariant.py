@@ -19,8 +19,6 @@ from contactmono.fields import (
     dirac_xi,
     divergence_check,
     gauge_curvature_components,
-    invariant_gauge,
-    invariant_spinor,
     l2_inner,
     l2_norm_sq,
     sup_phi_sq,
@@ -40,7 +38,7 @@ def backend(model):
 
 def test_cov_deriv_reeb_weight_round_s3():
     b = backend(S3)
-    f = invariant_spinor(b, 0j, 1 + 0j)
+    f = SpinorField(0j, 1 + 0j, b)
     d = cov_deriv(f, DIR_T, zero_gauge(b), PH["round-s3"])
     assert d.alpha == 0
     assert d.beta1bar == -2j  # i omega(T) = -2i
@@ -49,7 +47,7 @@ def test_cov_deriv_reeb_weight_round_s3():
 def test_cov_deriv_constants_have_no_horizontal_weight():
     for name in ("heisenberg", "round-s3", "torsion"):
         b = backend(catalog_model(name))
-        f = invariant_spinor(b, 1 + 0j, 0j)
+        f = SpinorField(1 + 0j, 0j, b)
         for direction in (DIR_Z1, DIR_Z1BAR):
             d = cov_deriv(f, direction, zero_gauge(b), PH[name])
             assert d.alpha == 0 and d.beta1bar == 0
@@ -57,8 +55,8 @@ def test_cov_deriv_constants_have_no_horizontal_weight():
 
 def test_cov_deriv_gauge_twist():
     b = backend(HEIS)
-    a = invariant_gauge(b, 0.5, 1.0, -2.0)
-    f = invariant_spinor(b, 1 + 0j, 0j)
+    a = GaugeField(0.5, 1.0, -2.0, b)
+    f = SpinorField(1 + 0j, 0j, b)
     d = cov_deriv(f, DIR_Z1BAR, a, PH["heisenberg"])
     assert d.alpha == pytest.approx(1j * (1.0 + 1j * (-2.0)) / 2)  # i a(Z1bar)
 
@@ -66,12 +64,12 @@ def test_cov_deriv_gauge_twist():
 def test_dirac_xi_examples():
     b = backend(S3)
     a = zero_gauge(b)
-    f = invariant_spinor(b, 3 - 1j, 0.5j)
+    f = SpinorField(3 - 1j, 0.5j, b)
     assert dirac_xi(f, a, PH["round-s3"]).alpha == 0
     # twist only: beta slot constant, a1 != 0
     b2 = backend(HEIS)
-    a2 = invariant_gauge(b2, 0.0, 1.0, 0.0)  # a(Z1) = 1/2
-    f2 = invariant_spinor(b2, 0j, 1 + 0j)
+    a2 = GaugeField(0.0, 1.0, 0.0, b2)  # a(Z1) = 1/2
+    f2 = SpinorField(0j, 1 + 0j, b2)
     d = dirac_xi(f2, a2, PH["heisenberg"])
     assert d.alpha == pytest.approx(-2 * 1j * 0.5)  # -2 i a(Z1) beta
     assert d.beta1bar == 0
@@ -80,7 +78,7 @@ def test_dirac_xi_examples():
 def test_dirac_eps_eigenvector():
     for name in ("heisenberg", "round-s3"):
         b = backend(catalog_model(name))
-        f = invariant_spinor(b, 1 + 0j, 0j)
+        f = SpinorField(1 + 0j, 0j, b)
         for eps in (1.0, 0.5, 0.25):
             out = dirac_eps(f, zero_gauge(b), PH[name], eps)
             assert out.alpha == eps  # exactly
@@ -89,7 +87,7 @@ def test_dirac_eps_eigenvector():
 
 def test_dirac_eps_phi1_round_s3():
     b = backend(S3)
-    f = invariant_spinor(b, 0j, 1 + 0j)
+    f = SpinorField(0j, 1 + 0j, b)
     out = dirac_eps(f, zero_gauge(b), PH["round-s3"], 1.0)
     assert out.alpha == 0
     assert out.beta1bar == pytest.approx(2.0)  # i * (-2i)
@@ -97,15 +95,15 @@ def test_dirac_eps_phi1_round_s3():
 
 def test_dirac_eps_torsion_error():
     b = backend(TORSION)
-    f = invariant_spinor(b, 1 + 0j, 0j)
+    f = SpinorField(1 + 0j, 0j, b)
     with pytest.raises(TorsionError):
         dirac_eps(f, zero_gauge(b), PH["torsion"], 1.0)
 
 
 def test_l2_inner_normalization():
     b = backend(HEIS)
-    phi0 = invariant_spinor(b, 1 + 0j, 0j)
-    phi1 = invariant_spinor(b, 0j, 1 + 0j)
+    phi0 = SpinorField(1 + 0j, 0j, b)
+    phi1 = SpinorField(0j, 1 + 0j, b)
     assert l2_inner(phi0, phi0) == 2.0
     assert l2_inner(phi0, phi1) == 0.0
     assert sup_phi_sq(phi0) == 1.0
@@ -113,8 +111,8 @@ def test_l2_inner_normalization():
 
 def test_backend_mismatch():
     b1, b2 = backend(HEIS), backend(S3)
-    f = invariant_spinor(b1, 1 + 0j, 0j)
-    g = invariant_spinor(b2, 1 + 0j, 0j)
+    f = SpinorField(1 + 0j, 0j, b1)
+    g = SpinorField(1 + 0j, 0j, b2)
     with pytest.raises(BackendMismatch):
         l2_inner(f, g)
 
@@ -122,9 +120,9 @@ def test_backend_mismatch():
 def test_divergence_and_adjoint_invariant():
     b = backend(S3)
     assert divergence_check(1, b) == 0.0
-    f = invariant_spinor(b, 2 - 1j, 0.5 + 0.25j)
-    g = invariant_spinor(b, -1 + 3j, 1j)
-    a = invariant_gauge(b, 0.3, -0.7, 0.1)
+    f = SpinorField(2 - 1j, 0.5 + 0.25j, b)
+    g = SpinorField(-1 + 3j, 1j, b)
+    a = GaugeField(0.3, -0.7, 0.1, b)
     for direction in (DIR_T, DIR_Z1, DIR_Z1BAR):
         rep = adjoint_check(f, g, direction, a, PH["round-s3"])
         assert rep.gap < 1e-14
@@ -132,13 +130,13 @@ def test_divergence_and_adjoint_invariant():
 
 def test_gauge_curvature_components_invariant():
     b = backend(HEIS)
-    a = invariant_gauge(b, 0.5, 0.0, 0.0)
+    a = GaugeField(0.5, 0.0, 0.0, b)
     da01, da02, da12 = gauge_curvature_components(a, HEIS)
     assert (da01, da02) == (0.0, 0.0)
     assert da12 == pytest.approx(1.0)  # d(a0 e0) = 2 a0 e1^e2
     # round-s3 horizontal components feed the 0j pieces
     b2 = backend(S3)
-    a2 = invariant_gauge(b2, 0.0, 1.0, 2.0)
+    a2 = GaugeField(0.0, 1.0, 2.0, b2)
     da01, da02, da12 = gauge_curvature_components(a2, S3)
     assert da01 == pytest.approx(2 * 2.0)  # a2re * c^2_{01} = 2q a2re
     assert da02 == pytest.approx(-2 * 1.0)  # a1re * c^1_{02} = -2p a1re
@@ -151,8 +149,8 @@ def test_anticommutator_invariant_closed_form_matches():
     for name in ("heisenberg", "round-s3"):
         m = catalog_model(name)
         b = backend(m)
-        a = invariant_gauge(b, 0.4, 0.8, -0.6)
-        f = invariant_spinor(b, 1.5 - 0.5j, 0.25j)
+        a = GaugeField(0.4, 0.8, -0.6, b)
+        f = SpinorField(1.5 - 0.5j, 0.25j, b)
         direct, closed = anticommutator_pair(f, a, PH[name], m, 0.5)
         assert abs(direct.alpha - closed.alpha) < 1e-13
         assert abs(direct.beta1bar - closed.beta1bar) < 1e-13
@@ -168,3 +166,12 @@ def test_grid_backend_requires_heisenberg():
         HeisGridBackend(gen_model(Fraction(1, 10**400), 0), 8)
     with pytest.raises(ValueError):
         HeisGridBackend(HEIS, 7)
+
+
+def test_invariant_backend_is_the_grid_at_one_point():
+    b = InvariantBackend(S3)
+    assert (b.shape, b.n_points) == ((), 1)
+    assert b.d_T(1.5 + 2j) == b.d_e1(1.5 + 2j) == b.d_e2(1.5 + 2j) == 0j
+    a = zero_gauge(b)
+    assert (a.a0, a.a1re, a.a2re) == (0.0, 0.0, 0.0)
+    assert b.integrate(0.75) == 1.5 and b.sup(-3j) == 3.0

@@ -20,19 +20,14 @@ from contactmono.fields import (
     SpinorField,
     b_curvature_components,
     background_coefficients,
-    constant_gauge,
     gauge_curvature_components,
-    invariant_gauge,
-    invariant_spinor,
-    trig_spinor,
 )
 from contactmono.pseudohermitian import derive_ph_invariants
 from contactmono.solver import (
+    HeisenbergFamily,
     MonopoleState,
     SolveOpts,
-    SweepOpts,
     energy_identity,
-    heisenberg_family,
     loglog_slope,
     random_monopole_state,
     residual_contact,
@@ -43,6 +38,7 @@ from contactmono.solver import (
     vanishing_certificate,
     weitzenbock_energy,
 )
+from grid_states import constant_gauge, theta_state, trig_spinor
 
 HEIS = catalog_model("heisenberg")
 S3 = catalog_model("round-s3")
@@ -153,11 +149,26 @@ def test_energy_identity_and_rejection():
         energy_identity(bad, PH_HEIS)
 
 
+@pytest.mark.parametrize("grid", [False, True])
+@pytest.mark.parametrize("eps", [None, 0.25])
+def test_reports_and_solver_share_one_residual(grid, eps):
+    # the report blocks are the solver's residual fields: with the Reeb
+    # constraint, |stacked residual|^2 = total^2 + r_constraint^2
+    b = HeisGridBackend(HEIS, 8) if grid else InvariantBackend(HEIS)
+    s = random_monopole_state(HEIS, b, seed=3, eps=eps)
+    rep = residual_contact(s, PH_HEIS) if eps is None else residual_sw(s, PH_HEIS)
+    r = solver_mod._stack_residual(s, PH_HEIS, True)
+    assert rep.total**2 + rep.r_constraint**2 == pytest.approx(float(r @ r), rel=1e-12)
+    x = solver_mod._pack(s)
+    assert x.size == 7 * b.n_points
+    assert np.array_equal(solver_mod._pack(solver_mod._unpack(x, HEIS, b, eps)), x)
+
+
 # --- closed-form family ------------------------------------------------------------
 
 
 def test_heisenberg_family_examples():
-    fam = heisenberg_family(HEIS)
+    fam = HeisenbergFamily(HEIS)
     assert fam.a0_for(1.0, 0.0) == pytest.approx(0.5)
     assert fam.a0_for(0.0, 1.0) == pytest.approx(-0.5)
     s = inv_state(HEIS, 1.0, 0.0, 0.5)
@@ -168,17 +179,17 @@ def test_heisenberg_family_examples():
     rep = fam.membership(s3)
     assert not rep.member and rep.curvature_gap == pytest.approx(0.4)
     with pytest.raises(WrongModel):
-        heisenberg_family(S3)
+        HeisenbergFamily(S3)
     # c^1_02 = -2e-400 lowers to -0.0, which the float check took for zero
     with pytest.raises(WrongModel):
-        heisenberg_family(gen_model(Fraction(1, 10**400), 0))
+        HeisenbergFamily(gen_model(Fraction(1, 10**400), 0))
 
 
 # --- solver ---------------------------------------------------------------------
 
 
 def test_solve_contact_heisenberg_randomized():
-    fam = heisenberg_family(HEIS)
+    fam = HeisenbergFamily(HEIS)
     nontrivial = 0
     for seed in range(8):
         init = random_monopole_state(HEIS, InvariantBackend(HEIS), seed=seed)
@@ -271,14 +282,14 @@ def test_sweep_requires_decreasing():
 
 
 def test_sweep_single_point():
-    recs = sweep(HEIS, [0.5], SweepOpts(seed=1))
+    recs = sweep(HEIS, [0.5], seed=1)
     assert len(recs) == 1
     assert recs[0].residual_limit is not None
 
 
 def test_sweep_tracks_alpha_branch():
     eps_list = [2.0**-k for k in range(1, 7)]
-    recs = sweep(HEIS, eps_list, SweepOpts(seed=0))
+    recs = sweep(HEIS, eps_list, seed=0)
     assert all(r.converged for r in recs)
     # (4.27)-type identity holds on every converged state
     for r in recs:
@@ -302,13 +313,13 @@ def test_sweep_matches_closed_form_branch():
     b = InvariantBackend(HEIS)
     for e in eps_list[1:]:
         s = MonopoleState(
-            a=invariant_gauge(b, -(e**2), 0.0, 0.0),
-            phi=invariant_spinor(b, complex(math.sqrt(2 * e * (1 - 2 * e))), 0j),
+            a=GaugeField(-(e**2), 0.0, 0.0, b),
+            phi=SpinorField(complex(math.sqrt(2 * e * (1 - 2 * e))), 0j, b),
             model=HEIS,
             eps=e,
         )
         assert residual_sw(s, PH_HEIS).total <= 1e-15
-    recs = sweep(HEIS, eps_list, SweepOpts(seed=0))
+    recs = sweep(HEIS, eps_list, seed=0)
     for r in recs[1:]:
         assert r.sup_phi_sq == pytest.approx(2 * r.eps - 4 * r.eps**2, rel=1e-9)
         assert r.norm_T_deriv_sq == pytest.approx(
@@ -338,8 +349,6 @@ def test_loglog_slope():
 def test_weitzenbock_grid_z_sector_second_order():
     # z-carrying smooth states with nonconstant gauge fields see the O(h^2)
     # Leibniz defect of central differences in the integrated identity
-    from contactmono.fields import theta_state
-
     gaps = []
     for n in (16, 32):
         b = HeisGridBackend(HEIS, n)
@@ -365,7 +374,7 @@ def test_weitzenbock_grid_z_sector_second_order():
 def test_gauge_covariance_grid_residuals_second_order():
     # a -> a + d chi, Phi -> e^{i chi} Phi changes the discrete residual
     # report at O(h^2) for smooth nonconstant chi
-    from contactmono.fields import gauge_transform, trig_spinor, constant_gauge
+    from contactmono.fields import gauge_transform
 
     diffs = []
     for n in (16, 32):
@@ -494,14 +503,14 @@ def test_grid_jacobian_matches_directional_difference(eps):
     b = HeisGridBackend(HEIS, 8)
     s = random_monopole_state(HEIS, b, seed=4, eps=eps)
     rng = np.random.default_rng(5)
-    x = solver_mod._pack_grid(s)
+    x = solver_mod._pack(s)
     v = rng.normal(size=x.size)
     jac = solver_mod._grid_jacobian(s, PH_HEIS, True)
     n3 = b.n**3
     assert jac.shape == (len(solver_mod._stack_residual(s, PH_HEIS, True)) + n3, 7 * n3)
 
     def stacked(y):
-        st = solver_mod._unpack_grid(y, HEIS, b, eps)
+        st = solver_mod._unpack(y, HEIS, b, eps)
         weight = math.sqrt(2.0 / n3)
         return np.concatenate(
             [
