@@ -1,0 +1,92 @@
+#!/usr/bin/env python3
+"""One sha256 per report `result` for a fixed set of CLI commands.
+
+Runs 13 `contactmono` commands (invariant solves on the three catalog
+models with and without the Reeb constraint, two eps solves, a multi-seed
+solve, two sweeps and the two N=8 heis-grid solves) and prints, per
+command, the sha256 of its `result` object serialized as the report
+serializes it, then the exit code and the command.  The grid solves also
+write their final state through the checkpoint writer; its sha256 is
+printed as `state_sha256`, so the grid states are compared bit for bit.
+
+Two source trees give byte-identical results iff their outputs match:
+
+    python3 scripts/report_digest.py > new.txt
+    (cd ../other-checkout && python3 scripts/report_digest.py) > old.txt
+    diff old.txt new.txt
+"""
+
+import hashlib
+import json
+import os
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+
+from contactmono.cli import main as cli_main
+
+LADDER_HEIS = "1/2,1/4,1/8,1/16,1/32,1/64"
+LADDER_S3 = "1/2,1/4,1/8"
+GRID = ["--backend", "heis-grid", "--N", "8"]
+
+COMMANDS = [
+    ["solve", "--model", "heisenberg"],
+    ["solve", "--model", "heisenberg", "--reeb-constraint"],
+    ["solve", "--model", "round-s3"],
+    ["solve", "--model", "round-s3", "--reeb-constraint"],
+    ["solve", "--model", "torsion"],
+    ["solve", "--model", "torsion", "--reeb-constraint"],
+    ["solve", "--model", "heisenberg", "--eps", "1/4"],
+    ["solve", "--model", "heisenberg", "--eps", "1/2"],
+    ["solve", "--model", "round-s3", "--seeds", "4", "--seed", "3", "--reeb-constraint"],
+    ["sweep", "--model", "heisenberg", "--eps-list", LADDER_HEIS],
+    ["sweep", "--model", "round-s3", "--eps-list", LADDER_S3],
+    ["solve", "--model", "heisenberg", *GRID],
+    ["solve", "--model", "heisenberg", *GRID, "--eps", "1/2"],
+]
+
+# grid runs read this config, so their final state is written to state-seed0.*
+CHECKPOINT = "state"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest(argv):
+    """(result sha256, exit code, state sha256 or None) of one command."""
+    extra = []
+    grid = "heis-grid" in argv
+    if grid:
+        with open("config.json", "w") as fh:
+            json.dump({"checkpoint": CHECKPOINT}, fh)
+        extra = ["--config", "config.json"]
+    code = cli_main([*argv, *extra, "--output", "report.json"])
+    with open("report.json") as fh:
+        result = json.load(fh)["result"]
+    text = json.dumps(result, sort_keys=True, indent=2)
+    state = None
+    if grid:
+        with open(f"{CHECKPOINT}-seed0.bin", "rb") as fh:
+            state = sha256(fh.read())
+    return sha256(text.encode()), code, state
+
+
+def main():
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # checkpoint paths inside the result stay relative
+        try:
+            for argv in COMMANDS:
+                result, code, state = digest(argv)
+                label = " ".join(argv)
+                print(f"{result}  exit={code}  {label}")
+                if state is not None:
+                    print(f"{state}  state_sha256  {label}")
+        finally:
+            os.chdir(here)
+
+
+if __name__ == "__main__":
+    main()

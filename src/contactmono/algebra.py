@@ -8,7 +8,7 @@ e0^e1^e2, with coefficients in Q(i, sqrt2).  Everything here is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple
 
@@ -223,10 +223,21 @@ def interior(idx: int, a: InvariantForm) -> InvariantForm:
 
 @dataclass(frozen=True)
 class ModelStructure:
-    """Homogeneous contact model: validated constant structure coefficients."""
+    """Homogeneous contact model: validated constant structure coefficients.
+
+    The float table that c_float reads is lowered once, when the model is built.
+    """
 
     c: Mapping[Tuple[int, Tuple[int, int]], ExactComplex]
     name: str = "model"
+    _c_float: Dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        table = {(i, j, j): 0.0 for i in range(3) for j in range(3)}
+        for (i, (j, k)), v in self.c.items():
+            x = float(v.to_complex().real)
+            table[(i, j, k)], table[(i, k, j)] = x, -x
+        object.__setattr__(self, "_c_float", table)
 
     def d_basis1(self, i: int) -> InvariantForm:
         """de^i from the structure constants."""
@@ -245,12 +256,8 @@ class ModelStructure:
         )
 
     def c_float(self, i: int, j: int, k: int) -> float:
-        if j == k:
-            return 0.0
-        sign = 1.0 if j < k else -1.0
-        jj, kk = min(j, k), max(j, k)
-        v = self.c[(i, (jj, kk))]
-        return sign * float(v.to_complex().real)
+        """c^i_jk as a float, antisymmetric in (j, k)."""
+        return self._c_float[(i, j, k)]
 
 
 def exterior_d(a: InvariantForm, m: ModelStructure) -> InvariantForm:

@@ -143,6 +143,10 @@ class ExactComplex:
         if not isinstance(other, (ExactComplex, int, Fraction)):
             return NotImplemented
         o = ExactComplex.coerce(other)
+        if not (self.as2 or self.bs2 or o.as2 or o.bs2):
+            # both factors in Q(i): (a + bi)(c + di)
+            a, b, c, d = self.ar, self.br, o.ar, o.br
+            return ExactComplex(a * c - b * d, a * d + b * c)
         # (x + yi)(x' + y'i) with x, y in Q(sqrt2)
         xr, xs = _qmul(self.ar, self.as2, o.ar, o.as2)
         yr, ys = _qmul(self.br, self.bs2, o.br, o.bs2)

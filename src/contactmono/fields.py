@@ -184,14 +184,16 @@ def zero_gauge(backend: Backend) -> GaugeField:
     return GaugeField(*(np.zeros(backend.shape)[()] for _ in range(3)), backend)
 
 
-def _omega_weights(ph: PhInvariants):
-    """i*omega evaluated on (T, Z1, Z1bar): connection weight of the beta slot."""
+def _connection_weight(ph: PhInvariants, direction: str):
+    """i*omega(direction): the connection weight of the beta slot."""
     w0, w1, w2 = ph.omega_float()
-    return (
-        1j * w0,
-        1j * (w1 - 1j * w2) * 0.5,
-        1j * (w1 + 1j * w2) * 0.5,
-    )
+    if direction == DIR_T:
+        return 1j * w0
+    if direction == DIR_Z1:
+        return 1j * (w1 - 1j * w2) * 0.5
+    if direction == DIR_Z1BAR:
+        return 1j * (w1 + 1j * w2) * 0.5
+    raise ValueError(f"unknown direction {direction!r}")
 
 
 def _frame_derivative(backend: Backend, direction: str, arr):
@@ -212,18 +214,13 @@ def cov_deriv(
     alpha carries no connection weight; the beta slot carries i*omega(dir);
     both carry +i a(dir).
     """
-    if a is not None:
-        _check_same_backend(f, a)
-    wT, wZ1, wZ1b = _omega_weights(ph)
-    weight = {DIR_T: wT, DIR_Z1: wZ1, DIR_Z1BAR: wZ1b}[direction]
+    weight = _connection_weight(ph, direction)
     if a is None:
         twist = 0j
     else:
-        twist = {
-            DIR_T: 1j * a.a0,
-            DIR_Z1: 1j * a.aZ1(),
-            DIR_Z1BAR: 1j * a.aZ1bar(),
-        }[direction]
+        _check_same_backend(f, a)
+        along = {DIR_T: lambda: a.a0, DIR_Z1: a.aZ1, DIR_Z1BAR: a.aZ1bar}[direction]
+        twist = 1j * along()  # a(direction), built for this direction only
     alpha = _frame_derivative(f.backend, direction, f.alpha) + twist * f.alpha
     beta = (
         _frame_derivative(f.backend, direction, f.beta1bar)
@@ -251,11 +248,10 @@ def dirac_eps(
         raise TorsionError("eps-family Dirac operator requires zero torsion")
     e = float(eps)
     d_beta_1 = cov_deriv(f, DIR_Z1, a, ph).beta1bar
-    d_beta_0 = cov_deriv(f, DIR_T, a, ph).beta1bar
-    d_alpha_0 = cov_deriv(f, DIR_T, a, ph).alpha
+    d_0 = cov_deriv(f, DIR_T, a, ph)
     d_alpha_1b = cov_deriv(f, DIR_Z1BAR, a, ph).alpha
-    comp0 = 2 * d_beta_1 - (1j / e) * d_alpha_0 + e * f.alpha
-    comp1 = (1j / e) * d_beta_0 - 2 * d_alpha_1b
+    comp0 = 2 * d_beta_1 - (1j / e) * d_0.alpha + e * f.alpha
+    comp1 = (1j / e) * d_0.beta1bar - 2 * d_alpha_1b
     return SpinorField(comp0, comp1, f.backend)
 
 
@@ -363,37 +359,16 @@ def gauge_curvature_components(a: GaugeField, m: ModelStructure):
     return tuple(out)
 
 
-def background_coefficients(ph: PhInvariants, m: ModelStructure):
-    """{(j, k): (d(omega)_jk, d(theta)_jk)} lowered to floats from the exact forms."""
-    from .algebra import exterior_d, theta as theta_form
-
-    domega = exterior_d(ph.omega, m)
-    dtheta = exterior_d(theta_form(), m)
-    return {
-        (j, k): (
-            domega.coeff(j, k).to_complex().real,
-            dtheta.coeff(j, k).to_complex().real,
-        )
-        for (j, k) in ((1, 2), (0, 1), (0, 2))
-    }
-
-
-def b_curvature_components(
-    a: GaugeField, ph: PhInvariants, m: ModelStructure, eps, coeffs=None
-):
+def b_curvature_components(a: GaugeField, ph: PhInvariants, m: ModelStructure, eps):
     """(F12, F01, F02) of F_b = (i/2) d(omega + eps theta) + i da.
 
-    Components follow the layout F_b = i(F12 e1^e2 + F01 e0^e1 + F02 e0^e2).
-    `coeffs` is background_coefficients(ph, m), for callers that evaluate
-    the curvature repeatedly; it is derived exactly when omitted.
+    Components follow the layout F_b = i(F12 e1^e2 + F01 e0^e1 + F02 e0^e2);
+    d(theta)_jk = c^0_jk.
     """
     e = float(eps)
-    if coeffs is None:
-        coeffs = background_coefficients(ph, m)
 
     def background(j, k):
-        d_omega, d_theta = coeffs[(j, k)]
-        return 0.5 * (d_omega + e * d_theta)
+        return 0.5 * (ph.domega_float(j, k) + e * m.c_float(0, j, k))
 
     da01, da02, da12 = gauge_curvature_components(a, m)
     return (

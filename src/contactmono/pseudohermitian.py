@@ -11,7 +11,7 @@ R = 4W - eps^2 - eps^{-2}|A|^2, which is treated as a comparator only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Tuple
 
@@ -36,21 +36,40 @@ _HALF = Fraction(1, 2)
 
 @dataclass(frozen=True)
 class PhInvariants:
-    """omega real 1-form, torsion A^1_{1bar} (constant), Webster curvature W."""
+    """omega real 1-form, torsion A^1_{1bar} (constant), Webster curvature W.
+
+    omega, W and d(omega) are lowered to floats once, when the invariants are
+    built; the float accessors below read those values.
+    """
 
     omega: InvariantForm
     torsion: ExactComplex  # A^1_{1bar} = A_{1bar 1bar}
     tw_curv: ExactComplex  # W, real
+    domega: InvariantForm  # d(omega)
+    _omega_float: Tuple = field(init=False, repr=False, compare=False)
+    _webster_float: float = field(init=False, repr=False, compare=False)
+    _domega_float: Dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        omega = tuple(float(self.omega.coeff(i).to_complex().real) for i in range(3))
+        domega = {(j, k): self.domega.coeff(j, k).to_complex().real for (j, k) in PAIRS}
+        object.__setattr__(self, "_omega_float", omega)
+        object.__setattr__(self, "_webster_float", float(self.tw_curv.to_complex().real))
+        object.__setattr__(self, "_domega_float", domega)
 
     @property
     def a11(self) -> ExactComplex:
         return self.torsion.conjugate()
 
     def omega_float(self) -> Tuple[float, float, float]:
-        return tuple(float(self.omega.coeff(i).to_complex().real) for i in range(3))
+        return self._omega_float
 
     def webster_float(self) -> float:
-        return float(self.tw_curv.to_complex().real)
+        return self._webster_float
+
+    def domega_float(self, j: int, k: int) -> float:
+        """d(omega)_jk for j < k."""
+        return self._domega_float[(j, k)]
 
 
 def _complex_2form_parts(f: InvariantForm):
@@ -98,7 +117,7 @@ def derive_ph_invariants(m: ModelStructure) -> PhInvariants:
     _, _, q3x = _complex_2form_parts(EC_I * domega)
     if q3x != tw:
         raise SolveError("curvature extraction routes disagree")
-    return PhInvariants(omega=omega, torsion=torsion, tw_curv=tw)
+    return PhInvariants(omega=omega, torsion=torsion, tw_curv=tw, domega=domega)
 
 
 def gen_closed_forms(p, q) -> Tuple[InvariantForm, ExactComplex, ExactComplex]:

@@ -37,7 +37,6 @@ from .fields import (
     InvariantBackend,
     SpinorField,
     b_curvature_components,
-    background_coefficients,
     cov_deriv,
     dirac_eps,
     dirac_xi,
@@ -267,14 +266,8 @@ def _unpack(x: np.ndarray, model, backend, eps) -> MonopoleState:
     return MonopoleState(a=a, phi=phi, model=model, eps=eps)
 
 
-def _residual_fields(
-    s: MonopoleState, ph: PhInvariants, constraint: bool, coeffs=None
-):
-    """List of (complex_or_real, values) equation fields defining the target.
-
-    `coeffs` is background_coefficients(ph, s.model), hoisted by callers
-    that evaluate the residual repeatedly.
-    """
+def _residual_fields(s: MonopoleState, ph: PhInvariants, constraint: bool):
+    """List of (complex_or_real, values) equation fields defining the target."""
     alpha, beta = s.phi.alpha, s.phi.beta1bar
     out = []
     if s.eps is None:
@@ -290,7 +283,7 @@ def _residual_fields(
         d = dirac_eps(s.phi, s.a, ph, s.eps)
         out.append(("c", d.alpha))
         out.append(("c", d.beta1bar))
-        f12, f01, f02 = b_curvature_components(s.a, ph, s.model, s.eps, coeffs)
+        f12, f01, f02 = b_curvature_components(s.a, ph, s.model, s.eps)
         out.append(
             ("r", f12 - 0.5 * np.real(alpha * np.conj(alpha) - beta * np.conj(beta)))
         )
@@ -302,12 +295,10 @@ def _residual_fields(
     return out
 
 
-def _stack_residual(
-    s: MonopoleState, ph: PhInvariants, constraint: bool, coeffs=None
-) -> np.ndarray:
+def _stack_residual(s: MonopoleState, ph: PhInvariants, constraint: bool) -> np.ndarray:
     weight = math.sqrt(s.backend.volume / s.backend.n_points)
     rows = []
-    for kind, vals in _residual_fields(s, ph, constraint, coeffs):
+    for kind, vals in _residual_fields(s, ph, constraint):
         arr = np.asarray(vals)
         if kind == "c":
             rows.append(arr.real.ravel() * weight)
@@ -750,12 +741,11 @@ def solve(
     def to_state(x):
         return _unpack(x, model, backend, eps)
 
-    coeffs = background_coefficients(ph, model) if eps is not None else None
     ops = _grid_operator_mats(backend) if grid else None
     coulomb_weight = math.sqrt(backend.volume / backend.n_points)
 
     def res(x):
-        return _stack_residual(to_state(x), ph, opts.constraint, coeffs)
+        return _stack_residual(to_state(x), ph, opts.constraint)
 
     def gauge(x):
         if not opts.gauge_fix:

@@ -267,3 +267,33 @@ def test_main_identifies_heisenberg_by_structure(tmp_path):
     run_report = json.loads(out.read_text())["result"]["runs"][0]
     assert "family_membership" not in run_report
     assert run_report["certificate"]["verdict"] == "consistent-with-vanishing"
+
+
+@pytest.mark.parametrize(
+    "flags, doc",
+    [
+        (
+            ["solve", "--model", "round-s3", "--seed", "3", "--seeds", "2", "--reeb-constraint"],
+            {"model": "round-s3", "seed": 3, "seeds": 2, "constraint": True},
+        ),
+        (
+            ["solve", "--model", "heisenberg", "--backend", "heis-grid", "--N", "8", "--eps", "1/2"],
+            {"model": "heisenberg", "backend": "heis-grid", "N": 8, "eps": "1/2"},
+        ),
+        (
+            ["sweep", "--model", "heisenberg", "--eps-list", "1/2,1/4,1/8", "--seed", "1"],
+            {"model": "heisenberg", "eps_list": ["1/2", "1/4", "1/8"], "seed": 1},
+        ),
+    ],
+)
+def test_report_independent_of_invocation_path(flags, doc, tmp_path):
+    by_flags, by_config = tmp_path / "flags.json", tmp_path / "config.json"
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(doc))
+    assert main([*flags, "--output", str(by_flags)]) == 0
+    assert main([flags[0], "--config", str(cfg_file), "--output", str(by_config)]) == 0
+    reports = [json.loads(p.read_text()) for p in (by_flags, by_config)]
+    results = [json.dumps(r["result"], sort_keys=True, indent=2) for r in reports]
+    assert results[0] == results[1]
+    configs = [dict(r["config"], output=None) for r in reports]
+    assert configs[0] == configs[1]

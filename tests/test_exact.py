@@ -65,6 +65,42 @@ def test_conjugation_and_norm(x):
         assert n.real_sign() == 1
 
 
+gaussian = st.builds(ExactComplex, rationals, rationals)  # Q(i): no sqrt2 parts
+
+
+def _general_product(x, y):
+    """(ar, br, as2, bs2) of x * y by the full Q(i, sqrt2) formula."""
+
+    def qmul(a0, a1, b0, b1):  # (a0 + a1 sqrt2)(b0 + b1 sqrt2)
+        return a0 * b0 + 2 * a1 * b1, a0 * b1 + a1 * b0
+
+    xr, xs = qmul(x.ar, x.as2, y.ar, y.as2)
+    yr, ys = qmul(x.br, x.bs2, y.br, y.bs2)
+    ur, us = qmul(x.ar, x.as2, y.br, y.bs2)
+    vr, vs = qmul(x.br, x.bs2, y.ar, y.as2)
+    return xr - yr, ur + vr, xs - ys, us + vs
+
+
+def _parts(z):
+    return z.ar, z.br, z.as2, z.bs2
+
+
+@given(gaussian, gaussian)
+@settings(max_examples=100, deadline=None)
+def test_rational_product_matches_general_formula(x, y):
+    prod = x * y
+    assert _parts(prod) == _general_product(x, y)
+    assert prod.as2 == 0 and prod.bs2 == 0
+    assert all(isinstance(p, Fraction) for p in _parts(prod))
+
+
+@given(st.one_of(gaussian, scalars), scalars)
+@settings(max_examples=100, deadline=None)
+def test_mixed_product_matches_general_formula(x, y):
+    assert _parts(x * y) == _general_product(x, y)
+    assert _parts(y * x) == _general_product(y, x)
+
+
 def test_real_sign_mixed_terms():
     # 3 - 2 sqrt2 > 0, 1 - sqrt2 < 0
     assert ExactComplex(3, 0, -2, 0).real_sign() == 1

@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from contactmono import algebra, pseudohermitian
 from contactmono import solver as solver_mod
-from contactmono.algebra import catalog_model, exterior_d, gen_model, theta
+from contactmono.algebra import InvariantForm, catalog_model, exterior_d, gen_model, theta
 from contactmono.errors import (
     NotASolution,
     PreconditionError,
@@ -19,9 +20,9 @@ from contactmono.fields import (
     InvariantBackend,
     SpinorField,
     b_curvature_components,
-    background_coefficients,
     gauge_curvature_components,
 )
+from contactmono.exact import ExactComplex
 from contactmono.pseudohermitian import derive_ph_invariants
 from contactmono.solver import (
     HeisenbergFamily,
@@ -559,21 +560,70 @@ def test_coulomb_projection_fails_loudly(monkeypatch):
         solve(HEIS, 0.5, s, SolveOpts(seed=0), ph=PH_HEIS)
 
 
-def test_background_coefficients_keep_curvature_bit_identical():
+def test_lowered_background_keeps_curvature_bit_identical():
     b = HeisGridBackend(HEIS, 8)
     s = random_monopole_state(HEIS, b, seed=2, eps=0.25)
-    # the background term as b_curvature_components derived it on every call
-    domega = exterior_d(PH_HEIS.omega, HEIS)
-    dtheta = exterior_d(theta(), HEIS)
-    coeffs = background_coefficients(PH_HEIS, HEIS)
-    da01, da02, da12 = gauge_curvature_components(s.a, HEIS)
-    for eps in (0.5, 0.25, 1.0 / 64):
-        hoisted = b_curvature_components(s.a, PH_HEIS, HEIS, eps, coeffs)
-        for got, (j, k), da in zip(hoisted, ((1, 2), (0, 1), (0, 2)), (da12, da01, da02)):
-            background = 0.5 * (
-                domega.coeff(j, k).to_complex().real
-                + eps * dtheta.coeff(j, k).to_complex().real
-            )
-            assert np.array_equal(got, background + da)
-        derived = b_curvature_components(s.a, PH_HEIS, HEIS, eps)
-        assert all(np.array_equal(f, g) for f, g in zip(hoisted, derived))
+    s3_gauge = inv_state(S3, 1, 2, 0.5, 0.1, -0.2).a
+    for m, ph, a in ((HEIS, PH_HEIS, s.a), (S3, PH_S3, s3_gauge)):
+        # the background term as derived exactly from the forms on every call
+        domega = exterior_d(ph.omega, m)
+        dtheta = exterior_d(theta(), m)
+        da01, da02, da12 = gauge_curvature_components(a, m)
+        for eps in (0.5, 0.25, 1.0 / 64):
+            got = b_curvature_components(a, ph, m, eps)
+            for f, (j, k), da in zip(got, ((1, 2), (0, 1), (0, 2)), (da12, da01, da02)):
+                background = 0.5 * (
+                    domega.coeff(j, k).to_complex().real
+                    + eps * dtheta.coeff(j, k).to_complex().real
+                )
+                assert np.array_equal(f, background + da)
+
+
+EXACT_ARITHMETIC = (
+    "__add__",
+    "__radd__",
+    "__sub__",
+    "__rsub__",
+    "__neg__",
+    "__mul__",
+    "__rmul__",
+    "__truediv__",
+    "__rtruediv__",
+    "__pow__",
+    "inverse",
+    "to_complex",
+)
+
+
+def test_float_solves_run_no_exact_arithmetic(monkeypatch):
+    # models, invariants, backends and initial states are built first; the
+    # float solves after them must read lowered floats only
+    grid = HeisGridBackend(HEIS, 8)
+    grid_states = [
+        random_monopole_state(HEIS, grid, seed=0, eps=eps) for eps in (None, 0.5)
+    ]
+    s3_init = random_monopole_state(S3, InvariantBackend(S3), seed=1)
+    heis_init = random_monopole_state(HEIS, InvariantBackend(HEIS), seed=0, eps=0.25)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("exact arithmetic inside a float solve")
+
+    for name in EXACT_ARITHMETIC:
+        monkeypatch.setattr(ExactComplex, name, forbidden)
+    monkeypatch.setattr(InvariantForm, "coeff", forbidden)
+    for module in (algebra, pseudohermitian):
+        monkeypatch.setattr(module, "exterior_d", forbidden)
+
+    state, info = solve(S3, None, s3_init, SolveOpts(constraint=True), ph=PH_S3)
+    assert info.converged
+    cert = vanishing_certificate(S3, state, PH_S3)
+    assert cert.verdict == "consistent-with-vanishing"
+    _, info = solve(HEIS, 0.25, heis_init, ph=PH_HEIS)
+    assert info.converged
+    recs = sweep(HEIS, [0.5, 0.25], ph=PH_HEIS)
+    assert all(r.converged for r in recs)
+    for s in grid_states:
+        for constraint in (False, True):
+            r = solver_mod._stack_residual(s, PH_HEIS, constraint)
+            jac = solver_mod._grid_jacobian(s, PH_HEIS, constraint)
+            assert jac.shape[0] == r.size + grid.n_points
