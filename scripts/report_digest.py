@@ -14,8 +14,13 @@ Two source trees give byte-identical results iff their outputs match:
     python3 scripts/report_digest.py > new.txt
     (cd ../other-checkout && python3 scripts/report_digest.py) > old.txt
     diff old.txt new.txt
+
+`--save DIR` also writes each command's argv, exit code and `result` to
+DIR/NN.json; `scripts/report_diff.py OLD NEW` lists what moved between two
+such directories, field by field.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -54,8 +59,11 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest(argv):
-    """(result sha256, exit code, state sha256 or None) of one command."""
+def digest(argv, save=None):
+    """(result sha256, exit code, state sha256 or None) of one command.
+
+    With `save` a path, the argv, exit code and result are written there.
+    """
     extra = []
     grid = "heis-grid" in argv
     if grid:
@@ -66,6 +74,9 @@ def digest(argv):
     with open("report.json") as fh:
         result = json.load(fh)["result"]
     text = json.dumps(result, sort_keys=True, indent=2)
+    if save is not None:
+        with open(save, "w") as fh:
+            json.dump({"argv": argv, "exit": code, "result": result}, fh, indent=2)
     state = None
     if grid:
         with open(f"{CHECKPOINT}-seed0.bin", "rb") as fh:
@@ -74,12 +85,19 @@ def digest(argv):
 
 
 def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--save", metavar="DIR", help="write each result to DIR/NN.json")
+    args = parser.parse_args()
+    save_dir = args.save and os.path.abspath(args.save)
+    if save_dir:
+        os.makedirs(save_dir, exist_ok=True)
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # checkpoint paths inside the result stay relative
         try:
-            for argv in COMMANDS:
-                result, code, state = digest(argv)
+            for k, argv in enumerate(COMMANDS):
+                save = save_dir and os.path.join(save_dir, f"{k:02d}.json")
+                result, code, state = digest(argv, save)
                 label = " ".join(argv)
                 print(f"{result}  exit={code}  {label}")
                 if state is not None:

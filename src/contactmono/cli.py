@@ -158,6 +158,11 @@ def parse_config(doc: Mapping) -> RunConfig:
             raise ConfigError("eps_list entries must be positive")
         if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
             raise ConfigError("eps_list must be strictly decreasing")
+    seed, seeds = _read(doc, "seed", 0, int), _read(doc, "seeds", 1, int)
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    if seeds < 1:
+        raise ConfigError(f"seeds must be at least 1, got {seeds}")
     tol = dict(DEFAULT_TOLERANCES)
     tol.update(_parse_tolerances(doc.get("tolerances", {})))
     return RunConfig(
@@ -167,8 +172,8 @@ def parse_config(doc: Mapping) -> RunConfig:
         eps_list=eps_list,
         backend=backend,
         n=n,
-        seed=_read(doc, "seed", 0, int),
-        seeds=_read(doc, "seeds", 1, int),
+        seed=seed,
+        seeds=seeds,
         constraint=bool(doc.get("constraint", False)),
         tolerances=tol,
         output=doc.get("output"),

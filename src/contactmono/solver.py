@@ -36,6 +36,7 @@ from .fields import (
     HeisGridBackend,
     InvariantBackend,
     SpinorField,
+    _connection_weight,
     b_curvature_components,
     cov_deriv,
     dirac_eps,
@@ -308,7 +309,7 @@ def _stack_residual(s: MonopoleState, ph: PhInvariants, constraint: bool) -> np.
     return np.concatenate([np.atleast_1d(r) for r in rows])
 
 
-# --- sparse Jacobian (grid backend) ----------------------------------------------
+# --- linearisation: one set of stencil rows for both backends ----------------------
 
 
 class _Stencil(tuple):
@@ -352,6 +353,121 @@ def _grid_operator_mats(b: HeisGridBackend):
     return dz, de1, de2, z1, z1b
 
 
+_ZERO = _Stencil()
+_EYE = _Stencil(((None, 1.0),))
+# (dz, de1, de2, z1, z1b) of the invariant sector: no frame derivatives
+_POINT_OPS = (_ZERO,) * 5
+
+
+def _dia(v):
+    return _Stencil(((None, v),))
+
+
+def _block(
+    kind, alpha=_ZERO, alpha_bar=_ZERO, beta=_ZERO, beta_bar=_ZERO, gauge=(_ZERO,) * 3
+):
+    """One row block: stencils on alpha, conj(alpha), beta, conj(beta), a0, a1, a2."""
+    return (alpha, alpha_bar, beta, beta_bar, *gauge, kind)
+
+
+def _linear_blocks(s: MonopoleState, ph: PhInvariants, constraint: bool, ops):
+    """Row blocks of the linearisation of _residual_fields at s, in its order.
+
+    `ops` holds the frame stencils (dz, de1, de2, z1, z1b); with _POINT_OPS the
+    blocks are those of the invariant sector.  The beta slot carries the
+    connection weights i*omega(T) and i*omega(Z1), and da_jk carries
+    sum_i a_i c^i_jk, so the rows hold for every model.
+    """
+    dz, de1, de2, z1, z1b = ops
+    alpha, beta = np.ravel(s.phi.alpha), np.ravel(s.phi.beta1bar)
+    a0 = np.ravel(s.a.a0)
+    a_z1 = np.ravel(s.a.aZ1())
+    a_z1b = np.conj(a_z1)
+    w_t, w_z1 = _connection_weight(ph, DIR_T), _connection_weight(ph, DIR_Z1)
+
+    def da(j, k):
+        """Gauge columns of da_jk = e_j(a_k) - e_k(a_j) + sum_i a_i c^i_jk."""
+        cols = [s.model.c_float(i, j, k) * _EYE for i in range(3)]
+        frame = (dz, de1, de2)
+        cols[k] = frame[j] + cols[k]
+        cols[j] = cols[j] - frame[k]
+        return cols
+
+    if s.eps is None:
+        blocks = [
+            # E1 = -2 (Z1 + i omega(Z1) + i aZ1) beta
+            _block(
+                "c",
+                beta=-2 * (z1 + w_z1 * _EYE + 1j * _dia(a_z1)),
+                gauge=(_ZERO, _dia(-1j * beta), _dia(-beta)),
+            ),
+            # E2 = 2 (Z1b + i aZ1b) alpha
+            _block(
+                "c",
+                alpha=2 * (z1b + 1j * _dia(a_z1b)),
+                gauge=(_ZERO, _dia(1j * alpha), _dia(-alpha)),
+            ),
+            # E3 = da12 - W - |alpha|^2 + |beta|^2
+            _block(
+                "r",
+                alpha=_dia(-np.conj(alpha)),
+                alpha_bar=_dia(-alpha),
+                beta=_dia(np.conj(beta)),
+                beta_bar=_dia(beta),
+                gauge=da(1, 2),
+            ),
+        ]
+    else:
+        e = float(s.eps)
+        blocks = [
+            # E1 = 2 (Z1 + i omega(Z1) + i aZ1) beta - (i/e)(dz + i a0) alpha + e alpha
+            _block(
+                "c",
+                alpha=-(1j / e) * (dz + 1j * _dia(a0)) + e * _EYE,
+                beta=2 * (z1 + w_z1 * _EYE + 1j * _dia(a_z1)),
+                gauge=(_dia((1 / e) * alpha), _dia(1j * beta), _dia(beta)),
+            ),
+            # E2 = (i/e)(dz + i omega(T) + i a0) beta - 2 (Z1b + i aZ1b) alpha
+            _block(
+                "c",
+                alpha=-2 * (z1b + 1j * _dia(a_z1b)),
+                beta=(1j / e) * (dz + w_t * _EYE + 1j * _dia(a0)),
+                gauge=(_dia(-(1 / e) * beta), _dia(-1j * alpha), _dia(alpha)),
+            ),
+            # E3 = F12 - (|alpha|^2 - |beta|^2)/2, F12 = background + da12
+            _block(
+                "r",
+                alpha=_dia(-0.5 * np.conj(alpha)),
+                alpha_bar=_dia(-0.5 * alpha),
+                beta=_dia(0.5 * np.conj(beta)),
+                beta_bar=_dia(0.5 * beta),
+                gauge=da(1, 2),
+            ),
+            # E4 = (1/e)(F01 + i F02) - conj(alpha) beta
+            _block(
+                "c",
+                alpha_bar=_dia(-beta),
+                beta=_dia(-np.conj(alpha)),
+                gauge=[(1 / e) * (p + 1j * q) for p, q in zip(da(0, 1), da(0, 2))],
+            ),
+        ]
+    if constraint:
+        # (dz + i a0) alpha and (dz + i omega(T) + i a0) beta
+        blocks += [
+            _block(
+                "c",
+                alpha=dz + 1j * _dia(a0),
+                gauge=(_dia(1j * alpha), _ZERO, _ZERO),
+            ),
+            _block(
+                "c",
+                beta=dz + w_t * _EYE + 1j * _dia(a0),
+                gauge=(_dia(1j * beta), _ZERO, _ZERO),
+            ),
+        ]
+    return blocks
+
+
 def _re_im(v):
     """(Re v, Im v), with 0.0 for a vanishing imaginary part (no stored zeros)."""
     if np.iscomplexobj(v) and np.any(v.imag):
@@ -359,159 +475,14 @@ def _re_im(v):
     return np.real(v), 0.0
 
 
-def _grid_jacobian(
-    s: MonopoleState, ph: PhInvariants, constraint: bool, ops=None
-) -> sp.csr_matrix:
-    """Analytic Jacobian of the stacked real residual, plus the Coulomb rows.
+def _assemble(blocks, backend) -> sp.coo_matrix:
+    """The real matrix of the row blocks, times the residual weight.
 
-    The last N^3 rows are div(p_a) = dz p_a0 + de1 p_a1 + de2 p_a2 with the
-    residual weight; solve pairs them with -div(a), which fixes the gauge
-    directions of the step.  `ops` is _grid_operator_mats(s.backend).
+    Realify: a complex row block is a block of real parts followed by one of
+    imaginary parts, and so is a complex column block.  coef * u has
+    [[Re, -Im], [Im, Re]] and coef * conj(u) has [[Re, Im], [Im, -Re]].
     """
-    b = s.backend
-    n3 = b.n**3
-    dz, de1, de2, z1, z1b = ops or _grid_operator_mats(b)
-    alpha = s.phi.alpha.ravel()
-    beta = s.phi.beta1bar.ravel()
-    a0 = s.a.a0.ravel()
-    a_z1 = np.asarray(s.a.aZ1()).ravel()
-    a_z1b = np.conj(a_z1)
-    weight = math.sqrt(2.0 / n3)
-    zero = _Stencil()
-    eye = _Stencil(((None, 1.0),))
-
-    def dia(v):
-        return _Stencil(((None, v),))
-
-    # columns: [alpha (complex), beta (complex), a0, a1re, a2re]
-    # each block entry is (linear_in_u, linear_in_conj_u) for complex unknowns
-    blocks = []  # list of rows: (lin_alpha, bar_alpha, lin_beta, bar_beta, d_a0, d_a1, d_a2, kind)
-
-    if s.eps is None:
-        # E1 = -2 (Z1 + i aZ1) beta
-        blocks.append(
-            (
-                zero,
-                zero,
-                -2 * (z1 + 1j * dia(a_z1)),
-                zero,
-                zero,
-                dia(-1j * beta),
-                dia(-beta),
-                "c",
-            )
-        )
-        # E2 = 2 (Z1b + i aZ1b) alpha
-        blocks.append(
-            (
-                2 * (z1b + 1j * dia(a_z1b)),
-                zero,
-                zero,
-                zero,
-                zero,
-                dia(1j * alpha),
-                dia(-alpha),
-                "c",
-            )
-        )
-        # E3 = de1 a2 - de2 a1 + 2 a0 - W - |alpha|^2 + |beta|^2
-        blocks.append(
-            (
-                dia(-np.conj(alpha)),
-                dia(-alpha),
-                dia(np.conj(beta)),
-                dia(beta),
-                2 * eye,
-                -de2,
-                de1,
-                "r",
-            )
-        )
-    else:
-        e = float(s.eps)
-        # E1 = 2 (Z1 + i aZ1) beta - (i/e)(dz + i a0) alpha + e alpha
-        blocks.append(
-            (
-                -(1j / e) * (dz + 1j * dia(a0)) + e * eye,
-                zero,
-                2 * (z1 + 1j * dia(a_z1)),
-                zero,
-                dia((1 / e) * alpha),
-                dia(1j * beta),
-                dia(beta),
-                "c",
-            )
-        )
-        # E2 = (i/e)(dz + i a0) beta - 2 (Z1b + i aZ1b) alpha
-        blocks.append(
-            (
-                -2 * (z1b + 1j * dia(a_z1b)),
-                zero,
-                (1j / e) * (dz + 1j * dia(a0)),
-                zero,
-                dia(-(1 / e) * beta),
-                dia(-1j * alpha),
-                dia(alpha),
-                "c",
-            )
-        )
-        # E3 = eps + de1 a2 - de2 a1 + 2 a0 - (|alpha|^2 - |beta|^2)/2
-        blocks.append(
-            (
-                dia(-0.5 * np.conj(alpha)),
-                dia(-0.5 * alpha),
-                dia(0.5 * np.conj(beta)),
-                dia(0.5 * beta),
-                2 * eye,
-                -de2,
-                de1,
-                "r",
-            )
-        )
-        # E4 = (1/e)[(dz a1 - de1 a0) + i(dz a2 - de2 a0)] - conj(alpha) beta
-        blocks.append(
-            (
-                zero,
-                dia(-beta),
-                dia(-np.conj(alpha)),
-                zero,
-                -(1 / e) * (de1 + 1j * de2),
-                (1 / e) * dz,
-                (1j / e) * dz,
-                "c",
-            )
-        )
-    if constraint:
-        blocks.append(
-            (
-                dz + 1j * dia(a0),
-                zero,
-                zero,
-                zero,
-                dia(1j * alpha),
-                zero,
-                zero,
-                "c",
-            )
-        )
-        blocks.append(
-            (
-                zero,
-                zero,
-                dz + 1j * dia(a0),
-                zero,
-                dia(1j * beta),
-                zero,
-                zero,
-                "c",
-            )
-        )
-    # Coulomb rows: div(p_a)
-    blocks.append((zero, zero, zero, zero, dz, de1, de2, "r"))
-
-    # Realify: a complex row block is a block of real parts followed by one
-    # of imaginary parts, and so is a complex column block.  coef * u has
-    # [[Re, -Im], [Im, Re]] and coef * conj(u) has [[Re, Im], [Im, -Re]].
+    n3 = backend.n_points
     entries = []  # (row block, column block, idx, real coefficient)
 
     def add(row, col, idx, coef):
@@ -547,31 +518,30 @@ def _grid_jacobian(
         rows[part] = r * n3 + local
         cols[part] = c * n3 + (local if idx is None else idx)
         vals[part] = coef
-    vals *= weight
-    return sp.coo_matrix((vals, (rows, cols)), shape=(row * n3, 7 * n3)).tocsr()
+    vals *= math.sqrt(backend.volume / n3)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(row * n3, 7 * n3))
+
+
+def _grid_jacobian(
+    s: MonopoleState, ph: PhInvariants, constraint: bool, ops=None
+) -> sp.csr_matrix:
+    """Jacobian of the stacked real residual, plus the Coulomb rows.
+
+    The last N^3 rows are div(p_a) = dz p_a0 + de1 p_a1 + de2 p_a2 with the
+    residual weight; solve pairs them with -div(a), which fixes the gauge
+    directions of the step.  `ops` is _grid_operator_mats(s.backend).
+    """
+    ops = ops or _grid_operator_mats(s.backend)
+    blocks = _linear_blocks(s, ph, constraint, ops)
+    blocks.append(_block("r", gauge=ops[:3]))  # (dz, de1, de2)
+    return _assemble(blocks, s.backend).tocsr()
 
 
 def _invariant_jacobian(
     s: MonopoleState, ph: PhInvariants, constraint: bool
 ) -> np.ndarray:
-    """Exact Jacobian by central differences (residual is quadratic)."""
-    x0 = _pack(s)
-    backend = s.backend
-    h = 1.0 / 64.0  # dyadic step keeps the arithmetic exact for quadratics
-    cols = []
-    for i in range(7):
-        xp = x0.copy()
-        xm = x0.copy()
-        xp[i] += h
-        xm[i] -= h
-        rp = _stack_residual(
-            _unpack(xp, s.model, backend, s.eps), ph, constraint
-        )
-        rm = _stack_residual(
-            _unpack(xm, s.model, backend, s.eps), ph, constraint
-        )
-        cols.append((rp - rm) / (2 * h))
-    return np.stack(cols, axis=1)
+    """Dense 7-column Jacobian of the stacked residual: the rows at one point."""
+    return _assemble(_linear_blocks(s, ph, constraint, _POINT_OPS), s.backend).toarray()
 
 
 # --- gauge fixing ---------------------------------------------------------------
@@ -735,6 +705,8 @@ def solve(
     if eps is not None and not ph.torsion.is_zero():
         raise TorsionError("eps-family system requires zero torsion")
     backend = init.backend
+    if backend.model.c != model.c:  # by value: equal models may be distinct objects
+        raise WrongModel(f"{backend!r} was built for another model")
     state = MonopoleState(a=init.a, phi=init.phi, model=model, eps=eps)
     grid = backend.kind == "heis-grid"
 

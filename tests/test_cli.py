@@ -218,6 +218,10 @@ def _one_line_error(capsys, fragment):
         (["derive", "--model", '{"c_0_12": "2", "c_1_01": "1"}'], "d(de^0) != 0"),
         (["derive", "--model", "{bad"], "cannot read model"),
         (["derive", "--eps", "abc"], "cannot read eps"),
+        (["solve", "--seeds", "0"], "seeds must be at least 1"),
+        (["solve", "--seeds", "-2"], "seeds must be at least 1"),
+        (["solve", "--seed", "-1"], "seed must be non-negative"),
+        (["sweep", "--seed", "-1"], "seed must be non-negative"),
     ],
 )
 def test_main_bad_input_exits_3(argv, fragment, capsys):

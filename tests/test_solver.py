@@ -525,6 +525,81 @@ def test_grid_jacobian_matches_directional_difference(eps):
     assert np.max(np.abs(jac @ v - diff)) <= 1e-9 * np.max(np.abs(diff))
 
 
+# omega = e1 + e2/2: connection weights along Z1 and Z1bar, zero torsion
+OMEGA_MODEL = algebra.model_from_json({"c_0_12": "2", "c_1_12": "1", "c_2_12": "1/2"})
+TORSION = catalog_model("torsion")
+
+
+@pytest.mark.parametrize("constraint", [False, True])
+@pytest.mark.parametrize(
+    "model, eps",
+    [
+        (HEIS, None),
+        (S3, None),
+        (TORSION, None),
+        (OMEGA_MODEL, None),
+        (HEIS, 0.25),
+        (S3, 0.25),
+        (OMEGA_MODEL, 0.25),
+    ],
+    ids=["heis", "s3", "torsion", "omega", "heis-eps", "s3-eps", "omega-eps"],
+)
+def test_invariant_jacobian_matches_directional_difference(model, eps, constraint):
+    # the grid rows at one point: omega weights and c^i_jk columns included
+    ph = derive_ph_invariants(model)
+    b = InvariantBackend(model)
+    s = random_monopole_state(model, b, seed=4, eps=eps)
+    x = solver_mod._pack(s)
+    jac = solver_mod._invariant_jacobian(s, ph, constraint)
+
+    def res(y):
+        st = solver_mod._unpack(y, model, b, eps)
+        return solver_mod._stack_residual(st, ph, constraint)
+
+    t = 1e-3
+    diff = np.stack([(res(x + t * v) - res(x - t * v)) / (2 * t) for v in np.eye(7)], 1)
+    assert jac.shape == diff.shape == (res(x).size, 7)
+    assert np.max(np.abs(jac - diff)) <= 1e-9 * np.max(np.abs(diff))
+
+
+def test_jacobians_evaluate_no_residual(monkeypatch):
+    point, grid = InvariantBackend(S3), HeisGridBackend(HEIS, 8)
+    cases = [
+        (jacobian, ph, random_monopole_state(m, b, seed=0, eps=eps))
+        for jacobian, ph, m, b in (
+            (solver_mod._invariant_jacobian, PH_S3, S3, point),
+            (solver_mod._grid_jacobian, PH_HEIS, HEIS, grid),
+        )
+        for eps in (None, 0.25)
+    ]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("residual evaluated inside a Jacobian")
+
+    monkeypatch.setattr(solver_mod, "_stack_residual", forbidden)
+    monkeypatch.setattr(solver_mod, "_residual_fields", forbidden)
+    for jacobian, ph, s in cases:
+        for constraint in (False, True):
+            assert jacobian(s, ph, constraint).shape[1] == 7 * s.backend.n_points
+
+
+@pytest.mark.parametrize("grid", [False, True])
+def test_solve_rejects_backend_of_another_model(grid):
+    backend = HeisGridBackend(HEIS, 8) if grid else InvariantBackend(HEIS)
+    init = random_monopole_state(HEIS, backend, seed=0)
+    with pytest.raises(WrongModel):
+        solve(S3, None, init, ph=PH_S3)
+
+
+def test_solve_compares_backend_model_by_value():
+    # catalog_model builds a fresh object per call, and inline models share a name
+    init = random_monopole_state(HEIS, InvariantBackend(HEIS), seed=0)
+    inline = algebra.model_from_json({"c_0_12": "2"})
+    for model in (catalog_model("heisenberg"), inline):
+        _, info = solve(model, None, init)
+        assert info.converged
+
+
 def test_grid_jacobian_coulomb_block_is_divergence():
     b = HeisGridBackend(HEIS, 8)
     n3 = b.n**3
