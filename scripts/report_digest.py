@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """One sha256 per report `result` for a fixed set of CLI commands.
 
-Runs 13 `contactmono` commands (invariant solves on the three catalog
-models with and without the Reeb constraint, two eps solves, a multi-seed
-solve, two sweeps and the two N=8 heis-grid solves) and prints, per
-command, the sha256 of its `result` object serialized as the report
-serializes it, then the exit code and the command.  The grid solves also
-write their final state through the checkpoint writer; its sha256 is
-printed as `state_sha256`, so the grid states are compared bit for bit.
+Runs 19 `contactmono` commands (a derive, a curvature, four checks,
+invariant solves on the three catalog models with and without the Reeb
+constraint, two eps solves, a multi-seed solve, two sweeps and the two N=8
+heis-grid solves) and prints, per command, the sha256 of its `result`
+object serialized as the report serializes it, then the exit code and the
+command.  Each sweep's CSV table is hashed too, as `csv_sha256`.  The grid
+solves also write their final state through the checkpoint writer; its
+sha256 is printed as `state_sha256`, so the grid states are compared bit
+for bit.
 
 Two source trees give byte-identical results iff their outputs match:
 
@@ -35,7 +37,16 @@ LADDER_HEIS = "1/2,1/4,1/8,1/16,1/32,1/64"
 LADDER_S3 = "1/2,1/4,1/8"
 GRID = ["--backend", "heis-grid", "--N", "8"]
 
+# omega = e1 + e2/2: a model with horizontal connection weights
+OMEGA_E1_E2 = '{"c_0_12": "2", "c_1_12": "1", "c_2_12": "1/2"}'
+
 COMMANDS = [
+    ["derive", "--model", "round-s3", "--eps", "1/2"],
+    ["curvature", "--model", "torsion", "--eps", "1/4"],
+    ["check", "--model", "heisenberg"],
+    ["check", "--model", "round-s3"],
+    ["check", "--model", "torsion"],
+    ["check", "--model", OMEGA_E1_E2],
     ["solve", "--model", "heisenberg"],
     ["solve", "--model", "heisenberg", "--reeb-constraint"],
     ["solve", "--model", "round-s3"],
@@ -60,8 +71,9 @@ def sha256(data: bytes) -> str:
 
 
 def digest(argv, save=None):
-    """(result sha256, exit code, state sha256 or None) of one command.
+    """(result sha256, exit code, {label: sha256} of its files) of one command.
 
+    The files are a sweep's CSV table and a grid solve's final state.
     With `save` a path, the argv, exit code and result are written there.
     """
     extra = []
@@ -77,11 +89,16 @@ def digest(argv, save=None):
     if save is not None:
         with open(save, "w") as fh:
             json.dump({"argv": argv, "exit": code, "result": result}, fh, indent=2)
-    state = None
+    paths = {}
+    if argv[0] == "sweep":
+        paths["csv_sha256"] = "report.csv"
     if grid:
-        with open(f"{CHECKPOINT}-seed0.bin", "rb") as fh:
-            state = sha256(fh.read())
-    return sha256(text.encode()), code, state
+        paths["state_sha256"] = f"{CHECKPOINT}-seed0.bin"
+    files = {}
+    for label, path in paths.items():
+        with open(path, "rb") as fh:
+            files[label] = sha256(fh.read())
+    return sha256(text.encode()), code, files
 
 
 def main():
@@ -97,11 +114,11 @@ def main():
         try:
             for k, argv in enumerate(COMMANDS):
                 save = save_dir and os.path.join(save_dir, f"{k:02d}.json")
-                result, code, state = digest(argv, save)
+                result, code, files = digest(argv, save)
                 label = " ".join(argv)
                 print(f"{result}  exit={code}  {label}")
-                if state is not None:
-                    print(f"{state}  state_sha256  {label}")
+                for kind, file_sha in files.items():
+                    print(f"{file_sha}  {kind}  {label}")
         finally:
             os.chdir(here)
 

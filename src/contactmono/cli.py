@@ -12,10 +12,9 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from typing import List, Mapping, Optional
 
@@ -65,11 +64,6 @@ from .solver import (
     vanishing_certificate,
 )
 
-DEFAULT_TOLERANCES = {
-    "residual_invariant": 1e-10,
-    "phi_sup": 1e-8,
-}
-
 # errors in the input: main reports them in one line and exits with INPUT_ERROR
 INPUT_ERRORS = (
     ConfigError,
@@ -84,127 +78,77 @@ INPUT_ERROR = 3
 COMMANDS = ("derive", "check", "curvature", "solve", "sweep")
 
 
+def _key(default, read):
+    """A config key whose value parse_config reads with `read`."""
+    return field(default=default, metadata={"read": read})
+
+
 @dataclass
 class RunConfig:
+    """One run.  Each field is a config key of the same name and a flag.
+
+    A key that is absent or null takes the field's default.
+    """
+
     command: str
     model: object = "heisenberg"  # catalog name or structure-constant mapping
-    eps: Optional[Fraction] = None
-    eps_list: Optional[List[Fraction]] = None
+    eps: Optional[Fraction] = _key(None, parse_rational)
+    eps_list: Optional[List[Fraction]] = _key(None, lambda v: [parse_rational(e) for e in v])
     backend: str = "invariant"
-    n: int = 16
-    seed: int = 0
-    seeds: int = 1
-    constraint: bool = False
-    tolerances: Mapping[str, float] = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
+    N: int = _key(16, int)
+    seed: int = _key(0, int)
+    seeds: int = _key(1, int)
+    constraint: bool = _key(False, bool)
     output: Optional[str] = None
     checkpoint: Optional[str] = None  # grid-state checkpoint path prefix
 
     def effective(self) -> dict:
-        return {
-            "command": self.command,
-            "model": self.model if isinstance(self.model, str) else dict(self.model),
-            "eps": rational_str(self.eps) if self.eps is not None else None,
-            "eps_list": [rational_str(e) for e in self.eps_list]
-            if self.eps_list
-            else None,
-            "backend": self.backend,
-            "N": self.n,
-            "seed": self.seed,
-            "seeds": self.seeds,
-            "constraint": self.constraint,
-            "tolerances": dict(sorted(self.tolerances.items())),
-            "output": self.output,
-            "checkpoint": self.checkpoint,
-        }
+        doc = asdict(self)
+        doc["eps"] = rational_str(self.eps) if self.eps is not None else None
+        doc["eps_list"] = [rational_str(e) for e in self.eps_list] if self.eps_list else None
+        return doc
 
 
 def parse_config(doc: Mapping) -> RunConfig:
-    """Validate a config mapping; unknown fields are rejected."""
-    known = {
-        "command",
-        "model",
-        "eps",
-        "eps_list",
-        "backend",
-        "N",
-        "seed",
-        "seeds",
-        "constraint",
-        "threads",  # accepted as 1 only: solves run on one thread
-        "tolerances",
-        "output",
-        "checkpoint",
-    }
-    extra = set(doc) - known
+    """Validate a config mapping; unknown fields are rejected.
+
+    "threads" is accepted as 1 only: solves run on one thread.
+    """
+    keys = fields(RunConfig)
+    extra = set(doc) - {key.name for key in keys} - {"threads"}
     if extra:
         raise ConfigError(f"unknown config fields: {sorted(extra)}")
     if doc.get("threads", 1) != 1:
         raise ConfigError("threads must be 1")
-    command = doc.get("command")
-    if command not in COMMANDS:
-        raise ConfigError(f"command must be one of {COMMANDS}, got {command!r}")
-    backend = doc.get("backend", "invariant")
-    if backend not in ("invariant", "heis-grid"):
-        raise ConfigError(f"backend must be invariant or heis-grid, got {backend!r}")
-    n = _read(doc, "N", 16, int)
-    if backend == "heis-grid" and (n <= 0 or n % 2):
+    if doc.get("command") not in COMMANDS:
+        raise ConfigError(f"command must be one of {COMMANDS}, got {doc.get('command')!r}")
+    values = {}
+    for key in keys:
+        value = doc.get(key.name)
+        if value is None:
+            continue
+        read = key.metadata.get("read")
+        try:
+            values[key.name] = read(value) if read else value
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"cannot read {key.name} from {value!r}") from exc
+    cfg = RunConfig(**values)
+    if cfg.backend not in ("invariant", "heis-grid"):
+        raise ConfigError(f"backend must be invariant or heis-grid, got {cfg.backend!r}")
+    if cfg.backend == "heis-grid" and (cfg.N <= 0 or cfg.N % 2):
         raise ConfigError("N must be even and positive for the grid backend")
-    eps = _read(doc, "eps", None, parse_rational)
-    if eps is not None and eps <= 0:
+    if cfg.eps is not None and cfg.eps <= 0:
         raise ConfigError("eps must be positive")
-    eps_list = _read(doc, "eps_list", None, lambda v: [parse_rational(e) for e in v])
-    if eps_list is not None:
-        if any(e <= 0 for e in eps_list):
+    if cfg.eps_list is not None:
+        if any(e <= 0 for e in cfg.eps_list):
             raise ConfigError("eps_list entries must be positive")
-        if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+        if any(b >= a for a, b in zip(cfg.eps_list, cfg.eps_list[1:])):
             raise ConfigError("eps_list must be strictly decreasing")
-    seed, seeds = _read(doc, "seed", 0, int), _read(doc, "seeds", 1, int)
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
-    if seeds < 1:
-        raise ConfigError(f"seeds must be at least 1, got {seeds}")
-    tol = dict(DEFAULT_TOLERANCES)
-    tol.update(_parse_tolerances(doc.get("tolerances", {})))
-    return RunConfig(
-        command=command,
-        model=doc.get("model", "heisenberg"),
-        eps=eps,
-        eps_list=eps_list,
-        backend=backend,
-        n=n,
-        seed=seed,
-        seeds=seeds,
-        constraint=bool(doc.get("constraint", False)),
-        tolerances=tol,
-        output=doc.get("output"),
-        checkpoint=doc.get("checkpoint"),
-    )
-
-
-def _read(doc: Mapping, key: str, default, convert):
-    """convert(doc[key]), or default when the key is absent or null."""
-    value = doc.get(key)
-    if value is None:
-        return default
-    try:
-        return convert(value)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"cannot read {key} from {value!r}") from exc
-
-
-def _parse_tolerances(doc) -> dict:
-    if not isinstance(doc, Mapping):
-        raise ConfigError("tolerances must be a mapping")
-    extra = set(doc) - set(DEFAULT_TOLERANCES)
-    if extra:
-        raise ConfigError(
-            f"unknown tolerances: {sorted(extra)}; known: {sorted(DEFAULT_TOLERANCES)}"
-        )
-    for key, value in doc.items():
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (number and math.isfinite(value) and value > 0):
-            raise ConfigError(f"tolerance {key} must be a positive number, got {value!r}")
-    return dict(doc)
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
+    if cfg.seeds < 1:
+        raise ConfigError(f"seeds must be at least 1, got {cfg.seeds}")
+    return cfg
 
 
 def _resolve_model(spec) -> ModelStructure:
@@ -245,6 +189,15 @@ def _exact_pair(z: ExactComplex):
 # --- command implementations ---------------------------------------------------
 
 
+def _comparison(cmp) -> dict:
+    """The closed-form against the computed scalar curvature."""
+    return {
+        "closed_form": rational_str(cmp.closed_form),
+        "computed": rational_str(cmp.oracle),
+        "gap": rational_str(cmp.gap),
+    }
+
+
 def _cmd_derive(cfg: RunConfig) -> dict:
     m = _resolve_model(cfg.model)
     eps = cfg.eps or Fraction(1)
@@ -257,11 +210,7 @@ def _cmd_derive(cfg: RunConfig) -> dict:
         "W": rational_str(ph.tw_curv),
         "eps": rational_str(eps),
         "R_scalar": rational_str(cmp.oracle),
-        "curvature_comparison": {
-            "closed_form": rational_str(cmp.closed_form),
-            "computed": rational_str(cmp.oracle),
-            "gap": rational_str(cmp.gap),
-        },
+        "curvature_comparison": _comparison(cmp),
     }
 
 
@@ -269,7 +218,6 @@ def _cmd_curvature(cfg: RunConfig) -> dict:
     m = _resolve_model(cfg.model)
     eps = cfg.eps or Fraction(1)
     rd = riemannian_connection(m, eps)
-    cmp = compare_scalar_curvature(m, eps)
     forms = {}
     for (j, i) in ((0, 1), (0, 2), (1, 2)):
         forms[f"omega_{j}{i}"] = _form_table(rd.form(j, i))
@@ -278,12 +226,13 @@ def _cmd_curvature(cfg: RunConfig) -> dict:
         "eps": rational_str(eps),
         "connection_forms": forms,
         "R_scalar": rational_str(rd.scalar),
-        "curvature_comparison": {
-            "closed_form": rational_str(cmp.closed_form),
-            "computed": rational_str(cmp.oracle),
-            "gap": rational_str(cmp.gap),
-        },
+        "curvature_comparison": _comparison(compare_scalar_curvature(m, eps)),
     }
+
+
+def _suite(asserted: bool, failures: List[str]) -> dict:
+    """One check suite: it passes when it lists no failure."""
+    return {"asserted": asserted, "pass": not failures, "failures": failures}
 
 
 def _cmd_check(cfg: RunConfig) -> dict:
@@ -294,55 +243,44 @@ def _cmd_check(cfg: RunConfig) -> dict:
     zero = InvariantForm.zero(1)
     suites = {}
 
-    failures = clifford_axiom_check(gamma_can()).failures
-    suites["clifford_axioms_gamma"] = {"asserted": True, "pass": not failures, "failures": failures}
+    suites["clifford_axioms_gamma"] = _suite(True, clifford_axiom_check(gamma_can()).failures)
     rho_fail = []
     for e in eps_set:
         rho_fail += [f"eps={e}: {x}" for x in clifford_axiom_check(rho_eps(e)).failures]
-    suites["clifford_axioms_rho"] = {"asserted": True, "pass": not rho_fail, "failures": rho_fail}
+    suites["clifford_axioms_rho"] = _suite(True, rho_fail)
 
-    built = gamma_from_wedge_interior()
-    match = built.mats == gamma_can().mats
-    suites["gamma_wedge_interior_match"] = {"asserted": True, "pass": match, "failures": [] if match else ["matrix mismatch"]}
+    match = gamma_from_wedge_interior().mats == gamma_can().mats
+    suites["gamma_wedge_interior_match"] = _suite(True, [] if match else ["matrix mismatch"])
 
     rep = compatibility_check(m, ph, 1, zero, "pseudohermitian", "rotation-ph")
-    suites["compat_pseudohermitian"] = {"asserted": True, "pass": rep.ok, "failures": rep.failures}
+    suites["compat_pseudohermitian"] = _suite(True, rep.failures)
 
     lc_fail = []
     for e in eps_set:
         r = compatibility_check(m, ph, e, zero, "levi-civita", "rotation-eps")
         lc_fail += [f"eps={e}: {x}" for x in r.failures]
-    suites["compat_levicivita_rotation"] = {
-        "asserted": torsion_free,
-        "pass": not lc_fail,
-        "failures": lc_fail,
-    }
+    suites["compat_levicivita_rotation"] = _suite(torsion_free, lc_fail)
 
+    # diagnostic: the displayed connection is not compatible with the
+    # literal metric connection
     hm = compatibility_check(m, ph, 1, zero, "levi-civita", "h-metric")
-    suites["compat_levicivita_hmetric"] = {
-        "asserted": False,  # diagnostic: the displayed connection is not
-        "pass": hm.ok,  # compatible with the literal metric connection
-        "failures": hm.failures,
-    }
+    suites["compat_levicivita_hmetric"] = _suite(False, hm.failures)
 
     cc = conn_coeffs(ph, Fraction(1, 2), zero, "levi-civita")
     ok_unitary, _ = unitarity_diagnostic(cc)
-    suites["unitarity_diagnostic"] = {
-        "asserted": torsion_free,
-        "pass": ok_unitary,
-        "failures": [] if ok_unitary else ["base + base^dagger != 0"],
-    }
+    suites["unitarity_diagnostic"] = _suite(
+        torsion_free, [] if ok_unitary else ["base + base^dagger != 0"]
+    )
 
     br = frame_bracket_check(m)
-    suites["frame_brackets"] = {
-        "asserted": True,
-        "pass": br.all_ok,
-        "failures": [
+    suites["frame_brackets"] = _suite(
+        True,
+        [
             name
             for name, ok in (("horizontal", br.horizontal_ok), ("reeb", br.reeb_ok))
             if not ok
         ],
-    }
+    )
 
     all_ok = all(s["pass"] for s in suites.values() if s["asserted"])
     return {
@@ -351,6 +289,12 @@ def _cmd_check(cfg: RunConfig) -> dict:
         "suites": {k: suites[k] for k in sorted(suites)},
         "all_asserted_pass": all_ok,
     }
+
+
+def _backend(cfg: RunConfig, m: ModelStructure):
+    if cfg.backend == "invariant":
+        return InvariantBackend(m)
+    return HeisGridBackend(m, cfg.N)
 
 
 def _solve_one(cfg: RunConfig, m, ph, backend, seed: int) -> dict:
@@ -391,24 +335,14 @@ def _solve_one(cfg: RunConfig, m, ph, backend, seed: int) -> dict:
         if is_heisenberg(m) and cfg.eps is None:
             out["family_membership"] = HeisenbergFamily(m).membership(state).as_dict()
     if cfg.eps is None and ph.tw_curv.is_real() and ph.tw_curv.real_sign() > 0:
-        out["certificate"] = vanishing_certificate(
-            m,
-            state,
-            ph,
-            tol_residual=cfg.tolerances["residual_invariant"] * 100,
-            tol_phi=cfg.tolerances["phi_sup"],
-        ).as_dict()
+        out["certificate"] = vanishing_certificate(m, state, ph).as_dict()
     return out
 
 
 def _cmd_solve(cfg: RunConfig) -> dict:
     m = _resolve_model(cfg.model)
     ph = derive_ph_invariants(m)
-    backend = (
-        InvariantBackend(m)
-        if cfg.backend == "invariant"
-        else HeisGridBackend(m, cfg.n)
-    )
+    backend = _backend(cfg, m)
     runs = [_solve_one(cfg, m, ph, backend, cfg.seed + k) for k in range(cfg.seeds)]
     all_converged = all(r["converged"] for r in runs)
     return {"model": m.name, "runs": runs, "all_converged": all_converged}
@@ -419,25 +353,13 @@ def _cmd_sweep(cfg: RunConfig) -> dict:
         raise ConfigError("sweep requires eps_list")
     m = _resolve_model(cfg.model)
     ph = derive_ph_invariants(m)
-    backend = (
-        InvariantBackend(m)
-        if cfg.backend == "invariant"
-        else HeisGridBackend(m, cfg.n)
-    )
     records = sweep(
-        m, [float(e) for e in cfg.eps_list], seed=cfg.seed, backend=backend, ph=ph
+        m, [float(e) for e in cfg.eps_list], seed=cfg.seed, backend=_backend(cfg, m), ph=ph
     )
     eps_vals = [r.eps for r in records]
     slopes = {
-        "norm_T_deriv_sq": loglog_slope(
-            eps_vals, [r.norm_T_deriv_sq for r in records], floor=1e-12
-        ),
-        "norm_Xi_deriv_sq": loglog_slope(
-            eps_vals, [r.norm_Xi_deriv_sq for r in records], floor=1e-12
-        ),
-        "sup_phi_sq": loglog_slope(
-            eps_vals, [r.sup_phi_sq for r in records], floor=1e-12
-        ),
+        key: loglog_slope(eps_vals, [getattr(r, key) for r in records], floor=1e-12)
+        for key in ("norm_T_deriv_sq", "norm_Xi_deriv_sq", "sup_phi_sq")
     }
     return {
         "model": m.name,
@@ -451,29 +373,25 @@ def _cmd_sweep(cfg: RunConfig) -> dict:
     }
 
 
+# (column, record key) of the sweep CSV table
+SWEEP_CSV_COLUMNS = (
+    ("eps", "eps"),
+    ("sup_phi_sq", "sup_phi_sq"),
+    ("norm_T_deriv_sq", "norm_T_deriv_sq"),
+    ("norm_Xi_deriv_sq", "norm_Xi_deriv_sq"),
+    ("cross_term", "norm_alpha_beta_cross"),
+    ("residual_limit", "residual_limit"),
+)
+
+
 def sweep_csv(records: List[dict]) -> str:
+    """The sweep table; an empty cell stands for a value that is None."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "eps",
-            "sup_phi_sq",
-            "norm_T_deriv_sq",
-            "norm_Xi_deriv_sq",
-            "cross_term",
-            "residual_limit",
-        ]
-    )
+    writer.writerow([column for column, _ in SWEEP_CSV_COLUMNS])
     for r in records:
         writer.writerow(
-            [
-                repr(r["eps"]),
-                repr(r["sup_phi_sq"]),
-                repr(r["norm_T_deriv_sq"]),
-                repr(r["norm_Xi_deriv_sq"]),
-                repr(r["norm_alpha_beta_cross"]),
-                "" if r["residual_limit"] is None else repr(r["residual_limit"]),
-            ]
+            ["" if r[key] is None else repr(r[key]) for _, key in SWEEP_CSV_COLUMNS]
         )
     return buf.getvalue()
 
@@ -521,6 +439,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command line; each flag's dest is its config key."""
     parser = _Parser(
         prog="contactmono",
         description="workbench for monopole equations on homogeneous contact 3-manifolds",
@@ -535,15 +454,21 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("derive", "curvature", "solve"):
             p.add_argument("--eps", help="rational, e.g. 1/2")
         if name == "sweep":
-            p.add_argument("--eps-list", help="comma separated rationals, decreasing")
+            p.add_argument(
+                "--eps-list",
+                type=lambda text: [e.strip() for e in text.split(",")],
+                help="comma separated rationals, decreasing",
+            )
         if name in ("solve", "sweep"):
             p.add_argument("--backend", choices=["invariant", "heis-grid"])
-            p.add_argument("--N", type=int, dest="n_grid")
+            p.add_argument("--N", type=int)
         if name == "solve":
             p.add_argument("--seeds", type=int, help="number of seeded runs")
             p.add_argument(
                 "--reeb-constraint",
-                action="store_true",
+                action="store_const",
+                const=True,
+                dest="constraint",
                 help="impose vanishing Reeb derivatives as part of the residual",
             )
     return parser
@@ -562,32 +487,16 @@ def main(argv=None) -> int:
 
 def _flags_over_config(args) -> dict:
     """The --config document with the given flags written over it."""
+    flags = {key: value for key, value in vars(args).items() if value is not None}
+    path = flags.pop("config", None)
     doc = {}
-    if args.config:
+    if path:
         try:
-            with open(args.config) as fh:
+            with open(path) as fh:
                 doc.update(json.load(fh))
         except (OSError, TypeError, ValueError) as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    doc["command"] = args.command
-    if args.model is not None:
-        doc["model"] = args.model
-    if args.output is not None:
-        doc["output"] = args.output
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if getattr(args, "eps", None) is not None:
-        doc["eps"] = args.eps
-    if getattr(args, "eps_list", None) is not None:
-        doc["eps_list"] = [s.strip() for s in args.eps_list.split(",")]
-    if getattr(args, "backend", None) is not None:
-        doc["backend"] = args.backend
-    if getattr(args, "n_grid", None) is not None:
-        doc["N"] = args.n_grid
-    if getattr(args, "seeds", None) is not None:
-        doc["seeds"] = args.seeds
-    if getattr(args, "reeb_constraint", False):
-        doc["constraint"] = True
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    doc.update(flags)
     return doc
 
 

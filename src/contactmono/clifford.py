@@ -339,33 +339,32 @@ FRAME_VECS = (
 )
 
 
-def _coframe_derivative(reference: str, ph: PhInvariants, eps: Fraction, w: int, v: int, m: ModelStructure):
-    """nabla_{e_v} e^w as an invariant 1-form combination, per reference.
+def _coframe_derivatives(reference: str, ph: PhInvariants, eps: Fraction, m: ModelStructure):
+    """nabla_{e_v} e^w as invariant 1-form combinations, per reference.
 
     reference "rotation": nabla e1 = s e2, nabla e2 = -s e1, nabla e0 = 0,
     with s = omega (pseudohermitian flavor) or omega + eps theta.
     reference "h-metric": the literal adapted-metric connection forms.
-    Returns a dict {covector index: coefficient} where index 0 refers to the
-    eps-scaled e0.
+    Returns {(w, v): {covector index: coefficient}} where index 0 refers to
+    the eps-scaled e0.
     """
     if reference in ("rotation-ph", "rotation-eps"):
         s = ph.omega if reference == "rotation-ph" else ph.omega + ExactComplex(eps) * theta()
-        sval = s.eval_vectors(FRAME_VECS[v])
-        if w == 1:
-            return {2: sval}
-        if w == 2:
-            return {1: -sval}
-        return {}
+        out = {}
+        for v in range(3):
+            sval = s.eval_vectors(FRAME_VECS[v])
+            out[0, v], out[1, v], out[2, v] = {}, {2: sval}, {1: -sval}
+        return out
     if reference == "h-metric":
         from .pseudohermitian import riemannian_connection
 
         rd = riemannian_connection(m, eps)
         # nabla e^w = - omega^w_j otimes e^j_eps; covector index j
         out = {}
-        for j in range(3):
-            val = rd.form(j, w).eval_vectors(FRAME_VECS[v])
-            if not val.is_zero():
-                out[j] = -val
+        for w in range(3):
+            for v in range(3):
+                vals = {j: rd.form(j, w).eval_vectors(FRAME_VECS[v]) for j in range(3)}
+                out[w, v] = {j: -val for j, val in vals.items() if not val.is_zero()}
         return out
     raise ValueError(f"unknown reference {reference!r}")
 
@@ -398,15 +397,15 @@ def compatibility_check(
     cc = conn_coeffs(ph, eps, a, flavor)
     rep = gamma_can() if flavor == "pseudohermitian" else rho_eps(eps)
     gens = [1, 2] if flavor == "pseudohermitian" else [0, 1, 2]
+    derivs = _coframe_derivatives(reference, ph, eps, m)
     failures = []
     for v in range(3):
         a_v = cc.evaluate(FRAME_VECS[v])
         for w in gens:
             g_w = rep.mats[f"e{w}"]
             lhs = mat_add(mat_mul(a_v, g_w), mat_scale(-1, mat_mul(g_w, a_v)))
-            deriv = _coframe_derivative(reference, ph, eps, w, v, m)
             rhs = MAT_ZERO
-            for j, coeff in deriv.items():
+            for j, coeff in derivs[w, v].items():
                 rhs = mat_add(rhs, mat_scale(coeff, rep.mats[f"e{j}"]))
             if lhs != rhs:
                 failures.append(f"v=e{v}, w=e{w}")

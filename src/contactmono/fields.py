@@ -12,6 +12,7 @@ permutation, so the discrete frame operators are exactly skew-adjoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -25,12 +26,37 @@ DIR_Z1 = "1"
 DIR_Z1BAR = "1bar"
 
 
+class _Stencil(tuple):
+    """A grid operator as a tuple of terms (idx, coef).
+
+    Row i of the operator applied to u is the sum over its terms of
+    coef[i] * u[idx[i]]; coef is a scalar or an N^3 array, and idx None is the
+    identity.  Sums concatenate terms and scalar (or row) factors scale the
+    coefficients, so the Jacobian is assembled from COO triplets in one pass.
+    """
+
+    def __add__(self, other):
+        return _Stencil(tuple.__add__(self, other))
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, factor):
+        return _Stencil((idx, factor * coef) for idx, coef in self)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self * -1
+
+
 class Backend:
     """What the field operators need of a backend.
 
-    A backend has `shape` (the array shape of one field component), `n_points`
-    and the frame derivatives `d_T`, `d_e1`, `d_e2`; integrals are point sums
-    weighted by volume / n_points.
+    A backend has `shape` (the array shape of one field component), `n_points`,
+    the frame derivatives `d_T`, `d_e1`, `d_e2`, and `stencils`, the frame
+    operators (T, e1, e2, Z1, Z1bar) as _Stencil rows for the solver's
+    linearisation; integrals are point sums weighted by volume / n_points.
     """
 
     volume = 2.0  # contact volume of the unit fundamental domain
@@ -51,6 +77,7 @@ class InvariantBackend(Backend):
     kind = "invariant"
     shape = ()
     n_points = 1
+    stencils = (_Stencil(),) * 5
 
     def __init__(self, model: ModelStructure):
         self.model = model
@@ -113,6 +140,21 @@ class HeisGridBackend(Backend):
 
     def d_e2(self, arr):
         return (self._shift(arr, self.yp) - self._shift(arr, self.ym)) / (2 * self.h)
+
+    @cached_property
+    def stencils(self):
+        """d_T, d_e1, d_e2 and Z1, Z1bar = (e1 -+ i e2)/2 as stencils."""
+        inv2h = 1.0 / (2 * self.h)
+
+        def central(plus, minus):
+            return _Stencil(((plus, inv2h), (minus, -inv2h)))
+
+        dz = central(self.zp, self.zm)
+        dx = central(self.xp, self.xm)
+        y = np.broadcast_to(self.y, self.shape).ravel()
+        de1 = dx + dz * (2 * y)  # the factor 2y scales the rows of dz
+        de2 = central(self.yp, self.ym)
+        return dz, de1, de2, 0.5 * (de1 - 1j * de2), 0.5 * (de1 + 1j * de2)
 
     def coords(self):
         n = self.n

@@ -19,7 +19,7 @@ Gauss-Newton on the stacked weighted residual; the optional Reeb constraint
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,9 +33,9 @@ from .fields import (
     DIR_Z1,
     DIR_Z1BAR,
     GaugeField,
-    HeisGridBackend,
     InvariantBackend,
     SpinorField,
+    _Stencil,
     _connection_weight,
     b_curvature_components,
     cov_deriv,
@@ -70,12 +70,7 @@ class ResidualReport:
     total: float
 
     def as_dict(self):
-        return {
-            "r_dirac": self.r_dirac,
-            "r_curv": self.r_curv,
-            "r_constraint": self.r_constraint,
-            "total": self.total,
-        }
+        return asdict(self)
 
 
 def _residual_report(s: MonopoleState, ph: PhInvariants) -> ResidualReport:
@@ -128,13 +123,7 @@ class WeitzenbockReport:
         return abs(self.dirac_sq - self.rhs)
 
     def as_dict(self):
-        return {
-            "grad_sq": self.grad_sq,
-            "webster_term": self.webster_term,
-            "gauge_term": self.gauge_term,
-            "reeb_term": self.reeb_term,
-            "dirac_sq": self.dirac_sq,
-        }
+        return asdict(self)
 
 
 def weitzenbock_energy(s: MonopoleState, ph: PhInvariants) -> WeitzenbockReport:
@@ -204,11 +193,7 @@ class FamilyMembership:
     dirac_gap: float
 
     def as_dict(self):
-        return {
-            "member": self.member,
-            "curvature_gap": self.curvature_gap,
-            "dirac_gap": self.dirac_gap,
-        }
+        return asdict(self)
 
 
 class HeisenbergFamily:
@@ -312,51 +297,8 @@ def _stack_residual(s: MonopoleState, ph: PhInvariants, constraint: bool) -> np.
 # --- linearisation: one set of stencil rows for both backends ----------------------
 
 
-class _Stencil(tuple):
-    """A grid operator as a tuple of terms (idx, coef).
-
-    Row i of the operator applied to u is the sum over its terms of
-    coef[i] * u[idx[i]]; coef is a scalar or an N^3 array, and idx None is the
-    identity.  Sums concatenate terms and scalar (or row) factors scale the
-    coefficients, so the Jacobian is assembled from COO triplets in one pass.
-    """
-
-    def __add__(self, other):
-        return _Stencil(tuple.__add__(self, other))
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __mul__(self, factor):
-        return _Stencil((idx, factor * coef) for idx, coef in self)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1
-
-
-def _grid_operator_mats(b: HeisGridBackend):
-    inv2h = 1.0 / (2 * b.h)
-
-    def central(plus, minus):
-        return _Stencil(((plus, inv2h), (minus, -inv2h)))
-
-    dz = central(b.zp, b.zm)
-    dx = central(b.xp, b.xm)
-    dy = central(b.yp, b.ym)
-    y = np.broadcast_to(b.y, (b.n,) * 3).ravel()
-    de1 = dx + dz * (2 * y)  # the factor 2y scales the rows of dz
-    de2 = dy
-    z1 = 0.5 * (de1 - 1j * de2)
-    z1b = 0.5 * (de1 + 1j * de2)
-    return dz, de1, de2, z1, z1b
-
-
 _ZERO = _Stencil()
 _EYE = _Stencil(((None, 1.0),))
-# (dz, de1, de2, z1, z1b) of the invariant sector: no frame derivatives
-_POINT_OPS = (_ZERO,) * 5
 
 
 def _dia(v):
@@ -370,15 +312,14 @@ def _block(
     return (alpha, alpha_bar, beta, beta_bar, *gauge, kind)
 
 
-def _linear_blocks(s: MonopoleState, ph: PhInvariants, constraint: bool, ops):
+def _linear_blocks(s: MonopoleState, ph: PhInvariants, constraint: bool):
     """Row blocks of the linearisation of _residual_fields at s, in its order.
 
-    `ops` holds the frame stencils (dz, de1, de2, z1, z1b); with _POINT_OPS the
-    blocks are those of the invariant sector.  The beta slot carries the
-    connection weights i*omega(T) and i*omega(Z1), and da_jk carries
-    sum_i a_i c^i_jk, so the rows hold for every model.
+    The frame stencils are the backend's; the invariant backend has none.
+    The beta slot carries the connection weights i*omega(T) and i*omega(Z1),
+    and da_jk carries sum_i a_i c^i_jk, so the rows hold for every model.
     """
-    dz, de1, de2, z1, z1b = ops
+    dz, de1, de2, z1, z1b = s.backend.stencils
     alpha, beta = np.ravel(s.phi.alpha), np.ravel(s.phi.beta1bar)
     a0 = np.ravel(s.a.a0)
     a_z1 = np.ravel(s.a.aZ1())
@@ -522,18 +463,15 @@ def _assemble(blocks, backend) -> sp.coo_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=(row * n3, 7 * n3))
 
 
-def _grid_jacobian(
-    s: MonopoleState, ph: PhInvariants, constraint: bool, ops=None
-) -> sp.csr_matrix:
+def _grid_jacobian(s: MonopoleState, ph: PhInvariants, constraint: bool) -> sp.csr_matrix:
     """Jacobian of the stacked real residual, plus the Coulomb rows.
 
     The last N^3 rows are div(p_a) = dz p_a0 + de1 p_a1 + de2 p_a2 with the
     residual weight; solve pairs them with -div(a), which fixes the gauge
-    directions of the step.  `ops` is _grid_operator_mats(s.backend).
+    directions of the step.
     """
-    ops = ops or _grid_operator_mats(s.backend)
-    blocks = _linear_blocks(s, ph, constraint, ops)
-    blocks.append(_block("r", gauge=ops[:3]))  # (dz, de1, de2)
+    blocks = _linear_blocks(s, ph, constraint)
+    blocks.append(_block("r", gauge=s.backend.stencils[:3]))  # (dz, de1, de2)
     return _assemble(blocks, s.backend).tocsr()
 
 
@@ -541,7 +479,7 @@ def _invariant_jacobian(
     s: MonopoleState, ph: PhInvariants, constraint: bool
 ) -> np.ndarray:
     """Dense 7-column Jacobian of the stacked residual: the rows at one point."""
-    return _assemble(_linear_blocks(s, ph, constraint, _POINT_OPS), s.backend).toarray()
+    return _assemble(_linear_blocks(s, ph, constraint), s.backend).toarray()
 
 
 # --- gauge fixing ---------------------------------------------------------------
@@ -713,7 +651,6 @@ def solve(
     def to_state(x):
         return _unpack(x, model, backend, eps)
 
-    ops = _grid_operator_mats(backend) if grid else None
     coulomb_weight = math.sqrt(backend.volume / backend.n_points)
 
     def res(x):
@@ -741,7 +678,7 @@ def solve(
             break
         if grid:
             st = to_state(x)
-            jac = _grid_jacobian(st, ph, opts.constraint, ops)
+            jac = _grid_jacobian(st, ph, opts.constraint)
             rhs = -np.concatenate([r, coulomb_weight * _grid_divergence(st.a).ravel()])
             fnorm = float(np.linalg.norm(rhs))
             if prev is not None:
@@ -852,18 +789,7 @@ class SweepRecord:
     constraint_limit: Optional[float] = None
 
     def as_dict(self):
-        return {
-            "eps": self.eps,
-            "sup_phi_sq": self.sup_phi_sq,
-            "norm_T_deriv_sq": self.norm_T_deriv_sq,
-            "norm_Xi_deriv_sq": self.norm_Xi_deriv_sq,
-            "norm_alpha_beta_cross": self.norm_alpha_beta_cross,
-            "identity_gap": self.identity_gap,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "residual_limit": self.residual_limit,
-            "constraint_limit": self.constraint_limit,
-        }
+        return asdict(self)
 
 
 # A sweep draws its initial state at SWEEP_PHI_SCALE, and it redraws Phi

@@ -12,7 +12,6 @@ def test_parse_config_minimal():
     assert cfg.command == "derive"
     assert cfg.backend == "invariant"
     assert cfg.seed == 0
-    assert cfg.tolerances["phi_sup"] == 1e-8
 
 
 def test_parse_config_sweep_valid():
@@ -185,24 +184,6 @@ def test_parse_config_accepts_threads_one_only():
         parse_config({"command": "derive", "threads": 2})
 
 
-def test_parse_config_tolerances():
-    cfg = parse_config({"command": "solve", "tolerances": {"phi_sup": 1e-6}})
-    assert cfg.effective()["tolerances"] == {"phi_sup": 1e-6, "residual_invariant": 1e-10}
-    bad = [
-        {"phi_sup": "abc"},
-        {"phi_sup": 0},
-        {"residual_invariant": -1e-10},
-        {"phi_sup": True},
-        {"phi_sup": float("nan")},
-        {"residual_grid": 1e-6},
-        {"identity": 1e-9},
-        ["phi_sup"],
-    ]
-    for tol in bad:
-        with pytest.raises(ConfigError):
-            parse_config({"command": "solve", "tolerances": tol})
-
-
 def _one_line_error(capsys, fragment):
     err = capsys.readouterr().err
     assert err.startswith("contactmono: error: ") and err.count("\n") == 1, err
@@ -231,16 +212,19 @@ def test_main_bad_input_exits_3(argv, fragment, capsys):
 
 def test_main_bad_config_file_exits_3(tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
-    for doc, fragment in (
-        ({"tolerances": {"phi_sup": "abc"}}, "phi_sup"),
-        ({"tolerances": {"residual_grid": 1e-6}}, "residual_grid"),
-        ({"threads": 2}, "threads"),
-    ):
-        cfg_file.write_text(json.dumps(doc))
-        assert main(["solve", "--config", str(cfg_file)]) == 3
-        _one_line_error(capsys, fragment)
+    cfg_file.write_text(json.dumps({"threads": 2}))
+    assert main(["solve", "--config", str(cfg_file)]) == 3
+    _one_line_error(capsys, "threads")
     assert main(["solve", "--config", str(tmp_path / "missing.json")]) == 3
     _one_line_error(capsys, "missing.json")
+
+
+def test_main_tolerances_key_exits_3(tmp_path, capsys):
+    # the certificate bounds are fixed; a config may not set them
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"tolerances": {"phi_sup": 1e-6}}))
+    assert main(["solve", "--config", str(cfg_file)]) == 3
+    _one_line_error(capsys, "'tolerances'")
 
 
 @pytest.mark.parametrize("error", INPUT_ERRORS)
@@ -261,6 +245,27 @@ def test_main_usage_errors_exit_3(argv, capsys):
         main(argv)
     assert exc.value.code == 3
     assert "contactmono" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, key, value",
+    [
+        (["derive", "--model", "round-s3"], "model", "round-s3"),
+        (["derive", "--output", "r.json"], "output", "r.json"),
+        (["derive", "--seed", "4"], "seed", 4),
+        (["solve", "--eps", "1/2"], "eps", "1/2"),
+        (["sweep", "--eps-list", "1/2, 1/4"], "eps_list", ["1/2", "1/4"]),
+        (["solve", "--backend", "heis-grid"], "backend", "heis-grid"),
+        (["solve", "--N", "8"], "N", 8),
+        (["solve", "--seeds", "3"], "seeds", 3),
+        (["solve", "--reeb-constraint"], "constraint", True),
+    ],
+)
+def test_each_flag_sets_its_config_key(flags, key, value):
+    args = cli.build_parser().parse_args(flags)
+    by_flag = parse_config(cli._flags_over_config(args)).effective()
+    assert by_flag == parse_config({"command": flags[0], key: value}).effective()
+    assert by_flag != parse_config({"command": flags[0]}).effective()
 
 
 def test_main_identifies_heisenberg_by_structure(tmp_path):
