@@ -11,6 +11,15 @@ solves also write their final state through the checkpoint writer; its
 sha256 is printed as `state_sha256`, so the grid states are compared bit
 for bit.
 
+After the commands come the bytes of the solver's linearisation and
+residual at fixed random states: `jacobian_sha256` hashes the `indptr`,
+`indices` and `data` of `_grid_jacobian` on 18 N=8 heisenberg states
+(contact, eps 1/2 and 1/4; Reeb rows off and on; seeds 0-2), and the dense
+`_invariant_jacobian` at one seed-1 state per invariant case (the four models
+of the checks; contact, and eps 1/4 and 1/2 where the torsion vanishes; Reeb
+rows off and on).  `residual_sha256` hashes `_stack_residual` at the same
+states.
+
 Two source trees give byte-identical results iff their outputs match:
 
     python3 scripts/report_digest.py > new.txt
@@ -31,7 +40,11 @@ import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
+from contactmono import solver
+from contactmono.algebra import catalog_model, model_from_json
 from contactmono.cli import main as cli_main
+from contactmono.fields import HeisGridBackend, InvariantBackend
+from contactmono.pseudohermitian import derive_ph_invariants
 
 LADDER_HEIS = "1/2,1/4,1/8,1/16,1/32,1/64"
 LADDER_S3 = "1/2,1/4,1/8"
@@ -101,6 +114,39 @@ def digest(argv, save=None):
     return sha256(text.encode()), code, files
 
 
+def state_cases():
+    """(label, state, invariants, constraint) of the hashed linearisations."""
+    heis = catalog_model("heisenberg")
+    grid = HeisGridBackend(heis, 8)
+    spaces = [("heis-grid N=8", heis, grid, (None, 0.5, 0.25), range(3))]
+    for name in ("heisenberg", "round-s3", "torsion", OMEGA_E1_E2):
+        m = model_from_json(json.loads(name)) if name[0] == "{" else catalog_model(name)
+        flat = derive_ph_invariants(m).torsion.is_zero()  # else contact only
+        eps_list = (None, 0.25, 0.5) if flat else (None,)
+        spaces.append((f"invariant {name}", m, InvariantBackend(m), eps_list, [1]))
+    for space, m, backend, eps_list, seeds in spaces:
+        ph = derive_ph_invariants(m)
+        for eps in eps_list:
+            for constraint in (False, True):
+                for seed in seeds:
+                    s = solver.random_monopole_state(m, backend, seed=seed, eps=eps)
+                    label = f"{space} eps={eps} constraint={constraint} seed={seed}"
+                    yield label, s, ph, constraint
+
+
+def linearisation_digests():
+    """(label, kind, sha256) of each hashed Jacobian and residual."""
+    for label, s, ph, constraint in state_cases():
+        if s.backend.kind == "heis-grid":
+            jac = solver._grid_jacobian(s, ph, constraint)
+            data = b"".join(v.tobytes() for v in (jac.indptr, jac.indices, jac.data))
+        else:
+            data = solver._invariant_jacobian(s, ph, constraint).tobytes()
+        yield label, "jacobian_sha256", sha256(data)
+        residual = solver._stack_residual(s, ph, constraint)
+        yield label, "residual_sha256", sha256(residual.tobytes())
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--save", metavar="DIR", help="write each result to DIR/NN.json")
@@ -121,6 +167,8 @@ def main():
                     print(f"{file_sha}  {kind}  {label}")
         finally:
             os.chdir(here)
+    for label, kind, digest_sha in linearisation_digests():
+        print(f"{digest_sha}  {kind}  {label}")
 
 
 if __name__ == "__main__":

@@ -52,7 +52,6 @@ from .pseudohermitian import (
     compare_scalar_curvature,
     derive_ph_invariants,
     frame_bracket_check,
-    riemannian_connection,
 )
 from .solver import (
     HeisenbergFamily,
@@ -217,7 +216,8 @@ def _cmd_derive(cfg: RunConfig) -> dict:
 def _cmd_curvature(cfg: RunConfig) -> dict:
     m = _resolve_model(cfg.model)
     eps = cfg.eps or Fraction(1)
-    rd = riemannian_connection(m, eps)
+    cmp = compare_scalar_curvature(m, eps)
+    rd = cmp.riemann
     forms = {}
     for (j, i) in ((0, 1), (0, 2), (1, 2)):
         forms[f"omega_{j}{i}"] = _form_table(rd.form(j, i))
@@ -226,7 +226,7 @@ def _cmd_curvature(cfg: RunConfig) -> dict:
         "eps": rational_str(eps),
         "connection_forms": forms,
         "R_scalar": rational_str(rd.scalar),
-        "curvature_comparison": _comparison(compare_scalar_curvature(m, eps)),
+        "curvature_comparison": _comparison(cmp),
     }
 
 

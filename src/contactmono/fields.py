@@ -31,9 +31,31 @@ class _Stencil(tuple):
 
     Row i of the operator applied to u is the sum over its terms of
     coef[i] * u[idx[i]]; coef is a scalar or an N^3 array, and idx None is the
-    identity.  Sums concatenate terms and scalar (or row) factors scale the
-    coefficients, so the Jacobian is assembled from COO triplets in one pass.
+    identity.  A term whose idx is a pair (plus, minus) is a difference,
+    coef[i] * (u[plus[i]] - u[minus[i]]): it is taken before it is scaled, so
+    a smooth field loses no digits to the 1/h of a central difference.  Sums
+    concatenate terms and scalar (or row) factors scale the coefficients, so
+    the Jacobian is assembled from COO triplets in one pass.
     """
+
+    def apply(self, u):
+        """The operator applied to the flat array u."""
+        out = 0
+        for idx, coef in self:
+            if isinstance(idx, tuple):
+                out = out + coef * (u[idx[0]] - u[idx[1]])
+            else:
+                out = out + coef * (u if idx is None else u[idx])
+        return out
+
+    def entries(self):
+        """(idx, coef) per matrix entry: a difference gives two."""
+        for idx, coef in self:
+            if isinstance(idx, tuple):
+                yield idx[0], coef
+                yield idx[1], -coef
+            else:
+                yield idx, coef
 
     def __add__(self, other):
         return _Stencil(tuple.__add__(self, other))
@@ -56,7 +78,7 @@ class Backend:
     A backend has `shape` (the array shape of one field component), `n_points`,
     the frame derivatives `d_T`, `d_e1`, `d_e2`, and `stencils`, the frame
     operators (T, e1, e2, Z1, Z1bar) as _Stencil rows for the solver's
-    linearisation; integrals are point sums weighted by volume / n_points.
+    equation forms; integrals are point sums weighted by volume / n_points.
     """
 
     volume = 2.0  # contact volume of the unit fundamental domain
@@ -147,7 +169,7 @@ class HeisGridBackend(Backend):
         inv2h = 1.0 / (2 * self.h)
 
         def central(plus, minus):
-            return _Stencil(((plus, inv2h), (minus, -inv2h)))
+            return _Stencil((((plus, minus), inv2h),))
 
         dz = central(self.zp, self.zm)
         dx = central(self.xp, self.xm)

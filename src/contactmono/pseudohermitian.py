@@ -232,6 +232,7 @@ class CurvatureComparison:
     closed_form: ExactComplex  # 4W - eps^2 - eps^{-2}|A|^2
     oracle: ExactComplex  # from the structural-equation route
     gap: ExactComplex  # closed_form - oracle
+    riemann: RiemannData  # the metric connection the oracle was computed from
 
 
 def compare_scalar_curvature(m: ModelStructure, eps) -> CurvatureComparison:
@@ -248,8 +249,10 @@ def compare_scalar_curvature(m: ModelStructure, eps) -> CurvatureComparison:
         - ExactComplex(eps * eps)
         - ExactComplex(Fraction(1, 1) / (eps * eps)) * a_sq
     )
-    oracle = scalar_curvature(m, eps)
-    return CurvatureComparison(closed_form=closed, oracle=oracle, gap=closed - oracle)
+    rd = riemannian_connection(m, eps)
+    return CurvatureComparison(
+        closed_form=closed, oracle=rd.scalar, gap=closed - rd.scalar, riemann=rd
+    )
 
 
 def fit_curvature_relation(samples):

@@ -19,7 +19,7 @@ Gauss-Newton on the stacked weighted residual; the optional Reeb constraint
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,9 +37,7 @@ from .fields import (
     SpinorField,
     _Stencil,
     _connection_weight,
-    b_curvature_components,
     cov_deriv,
-    dirac_eps,
     dirac_xi,
     gauge_curvature_components,
     gauge_transform,
@@ -252,39 +250,147 @@ def _unpack(x: np.ndarray, model, backend, eps) -> MonopoleState:
     return MonopoleState(a=a, phi=phi, model=model, eps=eps)
 
 
-def _residual_fields(s: MonopoleState, ph: PhInvariants, constraint: bool):
-    """List of (complex_or_real, values) equation fields defining the target."""
+# --- the equations as quadratic forms ----------------------------------------------
+
+# A form reads seven slots: the spinor and its conjugate, then the gauge field.
+ALPHA, ALPHA_BAR, BETA, BETA_BAR, A0, A1, A2 = range(7)
+_EYE = _Stencil(((None, 1.0),))
+
+
+@dataclass(frozen=True)
+class _Form:
+    """One equation field: const + sum_s lin[s] u_s + sum_(s,t) quad[s, t] u_s u_t.
+
+    u are the slot values, lin[s] a _Stencil and quad[s, t] a pointwise
+    coefficient; kind is "c" for a complex field and "r" for a real one.
+    """
+
+    kind: str
+    const: complex = 0.0
+    lin: dict = field(default_factory=dict)
+    quad: dict = field(default_factory=dict)
+
+    def value(self, u):
+        out = self.const + sum(op.apply(u[s]) for s, op in self.lin.items())
+        out = out + sum(q * u[s] * u[t] for (s, t), q in self.quad.items())
+        return out if self.kind == "c" else np.real(out)
+
+    def rows(self, u):
+        """Row block of the linearisation at u, in the format _assemble reads.
+
+        Slot s holds lin[s] and, on the diagonal, the sum over the quadratic
+        terms in s of the coefficient times the other factor.
+        """
+        diag = {}
+        for (s, t), q in self.quad.items():
+            for slot, other in ((s, t), (t, s)):
+                term = q * u[other]
+                diag[slot] = diag[slot] + term if slot in diag else term
+        rows = [self.lin.get(s, _Stencil()) for s in range(7)]
+        for s, coef in diag.items():
+            rows[s] = rows[s] + _Stencil(((None, coef),))
+        return (*rows, self.kind)
+
+
+def _slots(s: MonopoleState):
+    """Slot values: flat for the grid's stencils, cheap numpy scalars at one point."""
     alpha, beta = s.phi.alpha, s.phi.beta1bar
-    out = []
+    u = (alpha, np.conj(alpha), beta, np.conj(beta), s.a.a0, s.a.a1re, s.a.a2re)
+    return u if s.backend.kind == "invariant" else tuple(np.ravel(v) for v in u)
+
+
+def _forms(s: MonopoleState, ph: PhInvariants, constraint: bool) -> List[_Form]:
+    """The equation fields of s's system, in the order of the stacked residual.
+
+    They do not depend on the state, so a solve builds them once.  The beta
+    slot carries i*omega(T) and i*omega(Z1), and da_jk sum_i a_i c^i_jk, so
+    they hold for every model.
+    """
+    dz, de1, de2, z1, z1b = s.backend.stencils
+    w_t, w_z1 = _connection_weight(ph, DIR_T), _connection_weight(ph, DIR_Z1)
+    c = s.model.c_float
+
+    def da(j, k):
+        """Gauge slots of da_jk = e_j(a_k) - e_k(a_j) + sum_i a_i c^i_jk."""
+        cols = [c(i, j, k) * _EYE for i in range(3)]
+        frame = (dz, de1, de2)
+        cols[k] = frame[j] + cols[k]
+        cols[j] = cols[j] - frame[k]
+        return dict(zip((A0, A1, A2), cols))
+
+    sq = {(ALPHA, ALPHA_BAR): -1.0, (BETA, BETA_BAR): 1.0}  # |beta|^2 - |alpha|^2
     if s.eps is None:
-        d = dirac_xi(s.phi, s.a, ph)
-        out.append(("c", d.alpha))
-        out.append(("c", d.beta1bar))
-        _, _, da12 = gauge_curvature_components(s.a, s.model)
-        w = ph.webster_float()
-        out.append(
-            ("r", da12 - w - np.real(alpha * np.conj(alpha) - beta * np.conj(beta)))
-        )
+        forms = [
+            # E1 = -2 (Z1 + i omega(Z1) + i aZ1) beta, with 2i aZ1 = i a1 + a2
+            _Form(
+                "c",
+                lin={BETA: -2 * (z1 + w_z1 * _EYE)},
+                quad={(BETA, A1): -1j, (BETA, A2): -1.0},
+            ),
+            # E2 = 2 (Z1b + i aZ1b) alpha, with 2i aZ1b = i a1 - a2
+            _Form("c", lin={ALPHA: 2 * z1b}, quad={(ALPHA, A1): 1j, (ALPHA, A2): -1.0}),
+            # E3 = da12 - W - |alpha|^2 + |beta|^2
+            _Form("r", const=-ph.webster_float(), lin=da(1, 2), quad=sq),
+        ]
     else:
-        d = dirac_eps(s.phi, s.a, ph, s.eps)
-        out.append(("c", d.alpha))
-        out.append(("c", d.beta1bar))
-        f12, f01, f02 = b_curvature_components(s.a, ph, s.model, s.eps)
-        out.append(
-            ("r", f12 - 0.5 * np.real(alpha * np.conj(alpha) - beta * np.conj(beta)))
-        )
-        out.append(("c", (f01 + 1j * f02) / float(s.eps) - np.conj(alpha) * beta))
+        if not ph.torsion.is_zero():
+            raise TorsionError("eps-family system requires zero torsion")
+        e = float(s.eps)
+
+        def background(j, k):  # of F_b: (1/2)(d omega + eps d theta)_jk
+            return 0.5 * (ph.domega_float(j, k) + e * c(0, j, k))
+
+        da01, da02 = da(0, 1), da(0, 2)
+        forms = [
+            # E1 = 2 (Z1 + i omega(Z1) + i aZ1) beta - (i/e)(dz + i a0) alpha + e alpha
+            _Form(
+                "c",
+                lin={ALPHA: -(1j / e) * dz + e * _EYE, BETA: 2 * (z1 + w_z1 * _EYE)},
+                quad={(ALPHA, A0): 1 / e, (BETA, A1): 1j, (BETA, A2): 1.0},
+            ),
+            # E2 = (i/e)(dz + i omega(T) + i a0) beta - 2 (Z1b + i aZ1b) alpha
+            _Form(
+                "c",
+                lin={ALPHA: -2 * z1b, BETA: (1j / e) * (dz + w_t * _EYE)},
+                quad={(BETA, A0): -1 / e, (ALPHA, A1): -1j, (ALPHA, A2): 1.0},
+            ),
+            # E3 = F12 - (|alpha|^2 - |beta|^2)/2, F12 = background + da12
+            _Form(
+                "r",
+                const=background(1, 2),
+                lin=da(1, 2),
+                quad={st: 0.5 * q for st, q in sq.items()},
+            ),
+            # E4 = (1/e)(F01 + i F02) - conj(alpha) beta
+            _Form(
+                "c",
+                const=(1 / e) * (background(0, 1) + 1j * background(0, 2)),
+                lin={k: (1 / e) * (da01[k] + 1j * da02[k]) for k in da01},
+                quad={(ALPHA_BAR, BETA): -1.0},
+            ),
+        ]
     if constraint:
-        d_t = cov_deriv(s.phi, DIR_T, s.a, ph)
-        out.append(("c", d_t.alpha))
-        out.append(("c", d_t.beta1bar))
-    return out
+        # (dz + i a0) alpha and (dz + i omega(T) + i a0) beta
+        forms += [
+            _Form("c", lin={ALPHA: dz}, quad={(ALPHA, A0): 1j}),
+            _Form("c", lin={BETA: dz + w_t * _EYE}, quad={(BETA, A0): 1j}),
+        ]
+    return forms
 
 
-def _stack_residual(s: MonopoleState, ph: PhInvariants, constraint: bool) -> np.ndarray:
+def _residual_fields(s: MonopoleState, ph: PhInvariants, constraint: bool, forms=None):
+    """List of (complex_or_real, values) equation fields defining the target."""
+    u = _slots(s)
+    forms = forms or _forms(s, ph, constraint)
+    return [(f.kind, np.reshape(f.value(u), s.backend.shape)) for f in forms]
+
+
+def _stack_residual(
+    s: MonopoleState, ph: PhInvariants, constraint: bool, forms=None
+) -> np.ndarray:
     weight = math.sqrt(s.backend.volume / s.backend.n_points)
     rows = []
-    for kind, vals in _residual_fields(s, ph, constraint):
+    for kind, vals in _residual_fields(s, ph, constraint, forms):
         arr = np.asarray(vals)
         if kind == "c":
             rows.append(arr.real.ravel() * weight)
@@ -294,119 +400,11 @@ def _stack_residual(s: MonopoleState, ph: PhInvariants, constraint: bool) -> np.
     return np.concatenate([np.atleast_1d(r) for r in rows])
 
 
-# --- linearisation: one set of stencil rows for both backends ----------------------
-
-
-_ZERO = _Stencil()
-_EYE = _Stencil(((None, 1.0),))
-
-
-def _dia(v):
-    return _Stencil(((None, v),))
-
-
-def _block(
-    kind, alpha=_ZERO, alpha_bar=_ZERO, beta=_ZERO, beta_bar=_ZERO, gauge=(_ZERO,) * 3
-):
-    """One row block: stencils on alpha, conj(alpha), beta, conj(beta), a0, a1, a2."""
-    return (alpha, alpha_bar, beta, beta_bar, *gauge, kind)
-
-
-def _linear_blocks(s: MonopoleState, ph: PhInvariants, constraint: bool):
-    """Row blocks of the linearisation of _residual_fields at s, in its order.
-
-    The frame stencils are the backend's; the invariant backend has none.
-    The beta slot carries the connection weights i*omega(T) and i*omega(Z1),
-    and da_jk carries sum_i a_i c^i_jk, so the rows hold for every model.
-    """
-    dz, de1, de2, z1, z1b = s.backend.stencils
-    alpha, beta = np.ravel(s.phi.alpha), np.ravel(s.phi.beta1bar)
-    a0 = np.ravel(s.a.a0)
-    a_z1 = np.ravel(s.a.aZ1())
-    a_z1b = np.conj(a_z1)
-    w_t, w_z1 = _connection_weight(ph, DIR_T), _connection_weight(ph, DIR_Z1)
-
-    def da(j, k):
-        """Gauge columns of da_jk = e_j(a_k) - e_k(a_j) + sum_i a_i c^i_jk."""
-        cols = [s.model.c_float(i, j, k) * _EYE for i in range(3)]
-        frame = (dz, de1, de2)
-        cols[k] = frame[j] + cols[k]
-        cols[j] = cols[j] - frame[k]
-        return cols
-
-    if s.eps is None:
-        blocks = [
-            # E1 = -2 (Z1 + i omega(Z1) + i aZ1) beta
-            _block(
-                "c",
-                beta=-2 * (z1 + w_z1 * _EYE + 1j * _dia(a_z1)),
-                gauge=(_ZERO, _dia(-1j * beta), _dia(-beta)),
-            ),
-            # E2 = 2 (Z1b + i aZ1b) alpha
-            _block(
-                "c",
-                alpha=2 * (z1b + 1j * _dia(a_z1b)),
-                gauge=(_ZERO, _dia(1j * alpha), _dia(-alpha)),
-            ),
-            # E3 = da12 - W - |alpha|^2 + |beta|^2
-            _block(
-                "r",
-                alpha=_dia(-np.conj(alpha)),
-                alpha_bar=_dia(-alpha),
-                beta=_dia(np.conj(beta)),
-                beta_bar=_dia(beta),
-                gauge=da(1, 2),
-            ),
-        ]
-    else:
-        e = float(s.eps)
-        blocks = [
-            # E1 = 2 (Z1 + i omega(Z1) + i aZ1) beta - (i/e)(dz + i a0) alpha + e alpha
-            _block(
-                "c",
-                alpha=-(1j / e) * (dz + 1j * _dia(a0)) + e * _EYE,
-                beta=2 * (z1 + w_z1 * _EYE + 1j * _dia(a_z1)),
-                gauge=(_dia((1 / e) * alpha), _dia(1j * beta), _dia(beta)),
-            ),
-            # E2 = (i/e)(dz + i omega(T) + i a0) beta - 2 (Z1b + i aZ1b) alpha
-            _block(
-                "c",
-                alpha=-2 * (z1b + 1j * _dia(a_z1b)),
-                beta=(1j / e) * (dz + w_t * _EYE + 1j * _dia(a0)),
-                gauge=(_dia(-(1 / e) * beta), _dia(-1j * alpha), _dia(alpha)),
-            ),
-            # E3 = F12 - (|alpha|^2 - |beta|^2)/2, F12 = background + da12
-            _block(
-                "r",
-                alpha=_dia(-0.5 * np.conj(alpha)),
-                alpha_bar=_dia(-0.5 * alpha),
-                beta=_dia(0.5 * np.conj(beta)),
-                beta_bar=_dia(0.5 * beta),
-                gauge=da(1, 2),
-            ),
-            # E4 = (1/e)(F01 + i F02) - conj(alpha) beta
-            _block(
-                "c",
-                alpha_bar=_dia(-beta),
-                beta=_dia(-np.conj(alpha)),
-                gauge=[(1 / e) * (p + 1j * q) for p, q in zip(da(0, 1), da(0, 2))],
-            ),
-        ]
-    if constraint:
-        # (dz + i a0) alpha and (dz + i omega(T) + i a0) beta
-        blocks += [
-            _block(
-                "c",
-                alpha=dz + 1j * _dia(a0),
-                gauge=(_dia(1j * alpha), _ZERO, _ZERO),
-            ),
-            _block(
-                "c",
-                beta=dz + w_t * _EYE + 1j * _dia(a0),
-                gauge=(_dia(1j * beta), _ZERO, _ZERO),
-            ),
-        ]
-    return blocks
+def _linear_blocks(s: MonopoleState, ph: PhInvariants, constraint: bool, forms=None):
+    """Row blocks of the linearisation of _residual_fields at s, in its order."""
+    u = _slots(s)
+    forms = forms or _forms(s, ph, constraint)
+    return [f.rows(u) for f in forms]
 
 
 def _re_im(v):
@@ -435,7 +433,7 @@ def _assemble(blocks, backend) -> sp.coo_matrix:
         im_row = row + 1 if kind == "c" else None
         for col, lin, bar in ((0, la, ba), (2, lb, bb)):
             for sign, op in ((1, lin), (-1, bar)):
-                for idx, coef in op:
+                for idx, coef in op.entries():
                     re, im = _re_im(coef)
                     add(row, col, idx, re)
                     add(row, col + 1, idx, -sign * im)
@@ -443,7 +441,7 @@ def _assemble(blocks, backend) -> sp.coo_matrix:
                         add(im_row, col, idx, im)
                         add(im_row, col + 1, idx, sign * re)
         for col, op in ((4, d0), (5, d1), (6, d2)):
-            for idx, coef in op:
+            for idx, coef in op.entries():
                 re, im = _re_im(coef)
                 add(row, col, idx, re)
                 if im_row is not None:
@@ -463,23 +461,26 @@ def _assemble(blocks, backend) -> sp.coo_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=(row * n3, 7 * n3))
 
 
-def _grid_jacobian(s: MonopoleState, ph: PhInvariants, constraint: bool) -> sp.csr_matrix:
+def _grid_jacobian(
+    s: MonopoleState, ph: PhInvariants, constraint: bool, forms=None
+) -> sp.csr_matrix:
     """Jacobian of the stacked real residual, plus the Coulomb rows.
 
     The last N^3 rows are div(p_a) = dz p_a0 + de1 p_a1 + de2 p_a2 with the
     residual weight; solve pairs them with -div(a), which fixes the gauge
     directions of the step.
     """
-    blocks = _linear_blocks(s, ph, constraint)
-    blocks.append(_block("r", gauge=s.backend.stencils[:3]))  # (dz, de1, de2)
+    blocks = _linear_blocks(s, ph, constraint, forms)
+    coulomb = _Form("r", lin=dict(zip((A0, A1, A2), s.backend.stencils[:3])))
+    blocks.append(coulomb.rows(None))
     return _assemble(blocks, s.backend).tocsr()
 
 
 def _invariant_jacobian(
-    s: MonopoleState, ph: PhInvariants, constraint: bool
+    s: MonopoleState, ph: PhInvariants, constraint: bool, forms=None
 ) -> np.ndarray:
     """Dense 7-column Jacobian of the stacked residual: the rows at one point."""
-    return _assemble(_linear_blocks(s, ph, constraint), s.backend).toarray()
+    return _assemble(_linear_blocks(s, ph, constraint, forms), s.backend).toarray()
 
 
 # --- gauge fixing ---------------------------------------------------------------
@@ -597,6 +598,9 @@ class SolveInfo:
     iterations: int
     report: ResidualReport
     seed: int
+    # converged: the cost reached the loop tolerance; line-search-stalled: no
+    # halving decreased the cost; max-iter: the loop ran out of steps
+    stop_reason: str
 
 
 def random_monopole_state(
@@ -652,9 +656,10 @@ def solve(
         return _unpack(x, model, backend, eps)
 
     coulomb_weight = math.sqrt(backend.volume / backend.n_points)
+    forms = _forms(state, ph, opts.constraint)
 
     def res(x):
-        return _stack_residual(to_state(x), ph, opts.constraint)
+        return _stack_residual(to_state(x), ph, opts.constraint, forms)
 
     def gauge(x):
         if not opts.gauge_fix:
@@ -673,12 +678,13 @@ def solve(
         step_scale = np.ones(x.size)
         step_scale[5 * backend.n_points :] = HORIZONTAL_GAUGE_SCALE
     eta, prev = ETA_START, None  # prev: (|F|, |F + J p|) of the last grid step
+    stalled = False
     for iterations in range(1, opts.max_iter + 1):
         if math.sqrt(cost) <= loop_tol:
             break
         if grid:
             st = to_state(x)
-            jac = _grid_jacobian(st, ph, opts.constraint)
+            jac = _grid_jacobian(st, ph, opts.constraint, forms)
             rhs = -np.concatenate([r, coulomb_weight * _grid_divergence(st.a).ravel()])
             fnorm = float(np.linalg.norm(rhs))
             if prev is not None:
@@ -696,7 +702,7 @@ def solve(
             p = result[0] if step_scale is None else step_scale * result[0]
             prev = (fnorm, float(result[3]))
         else:
-            jac = _invariant_jacobian(to_state(x), ph, opts.constraint)
+            jac = _invariant_jacobian(to_state(x), ph, opts.constraint, forms)
             p, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         step = 1.0
         accepted = False
@@ -715,6 +721,7 @@ def solve(
                 break
             step *= 0.5
         if not accepted:
+            stalled = True
             break
     final = to_state(x)
     rep = (
@@ -722,8 +729,16 @@ def solve(
     )
     threshold = CONVERGED_GRID if grid else CONVERGED_INVARIANT
     converged = math.sqrt(cost) <= max(opts.tol, threshold)
+    if math.sqrt(cost) <= loop_tol:
+        stop_reason = "converged"
+    else:
+        stop_reason = "line-search-stalled" if stalled else "max-iter"
     return final, SolveInfo(
-        converged=converged, iterations=iterations, report=rep, seed=opts.seed
+        converged=converged,
+        iterations=iterations,
+        report=rep,
+        seed=opts.seed,
+        stop_reason=stop_reason,
     )
 
 
@@ -746,29 +761,34 @@ class CertificateVerdict:
         }
 
 
+# a certificate reads a state as a solution when its contact residual and
+# Reeb constraint are below CERT_TOL_RESIDUAL, and Phi as vanishing when
+# sup|Phi| is below CERT_TOL_PHI
+CERT_TOL_RESIDUAL = 1e-8
+CERT_TOL_PHI = 1e-8
+
+
 def vanishing_certificate(
-    model: ModelStructure,
-    s: MonopoleState,
-    ph: Optional[PhInvariants] = None,
-    tol_residual: float = 1e-8,
-    tol_phi: float = 1e-8,
+    model: ModelStructure, s: MonopoleState, ph: Optional[PhInvariants] = None
 ) -> CertificateVerdict:
     """Check the positive-curvature vanishing mechanism on a candidate state."""
     ph = ph or derive_ph_invariants(model)
     if not (ph.tw_curv.is_real() and ph.tw_curv.real_sign() > 0):
         raise PreconditionError("certificate requires positive Webster curvature")
     rr = residual_contact(s, ph)
-    if rr.total > tol_residual or rr.r_constraint > tol_residual:
+    if rr.total > CERT_TOL_RESIDUAL or rr.r_constraint > CERT_TOL_RESIDUAL:
         return CertificateVerdict(
             verdict="not-a-solution",
             sup_phi=math.sqrt(sup_phi_sq(s.phi)),
             energy=None,
             report=rr,
         )
-    energy = energy_identity(s, ph, tol=max(tol_residual, 1e-9))
+    energy = energy_identity(s, ph, tol=CERT_TOL_RESIDUAL)
     sup_phi = math.sqrt(sup_phi_sq(s.phi))
     verdict = (
-        "consistent-with-vanishing" if sup_phi <= tol_phi else "counterexample-candidate"
+        "consistent-with-vanishing"
+        if sup_phi <= CERT_TOL_PHI
+        else "counterexample-candidate"
     )
     return CertificateVerdict(
         verdict=verdict, sup_phi=sup_phi, energy=energy, report=rr

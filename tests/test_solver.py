@@ -15,11 +15,15 @@ from contactmono.errors import (
     WrongModel,
 )
 from contactmono.fields import (
+    DIR_T,
     GaugeField,
     HeisGridBackend,
     InvariantBackend,
     SpinorField,
     b_curvature_components,
+    cov_deriv,
+    dirac_eps,
+    dirac_xi,
     gauge_curvature_components,
 )
 from contactmono.exact import ExactComplex
@@ -98,6 +102,8 @@ def test_residual_sw_requires_eps_and_no_torsion():
     st = inv_state(t, 1.0, 0.0, 0.0, eps=0.5)
     with pytest.raises(TorsionError):
         residual_sw(st, derive_ph_invariants(t))
+    with pytest.raises(TorsionError):  # the rows come from the same forms
+        solver_mod._invariant_jacobian(st, derive_ph_invariants(t), False)
 
 
 # --- energy identities -------------------------------------------------------------
@@ -476,7 +482,7 @@ def test_grid_eps_solve_under_phase_rotation(monkeypatch, angle):
     )
     stops = _record_lsqr(monkeypatch)
     state, info = solve(HEIS, 0.5, init, SolveOpts(seed=0), ph=PH_HEIS)
-    assert info.converged
+    assert info.converged and info.stop_reason == "converged"
     assert residual_sw(state, PH_HEIS).total <= 1e-6
     assert info.iterations <= 20
     assert stops and all(istop != 7 for istop, _ in stops)  # 7: stopped at iter_lim
@@ -560,6 +566,84 @@ def test_invariant_jacobian_matches_directional_difference(model, eps, constrain
     diff = np.stack([(res(x + t * v) - res(x - t * v)) / (2 * t) for v in np.eye(7)], 1)
     assert jac.shape == diff.shape == (res(x).size, 7)
     assert np.max(np.abs(jac - diff)) <= 1e-9 * np.max(np.abs(diff))
+
+
+def operator_fields(s, ph, constraint):
+    """The equation fields composed from the `fields` operators."""
+    alpha, beta = s.phi.alpha, s.phi.beta1bar
+    sq = np.real(alpha * np.conj(alpha) - beta * np.conj(beta))
+    if s.eps is None:
+        d = dirac_xi(s.phi, s.a, ph)
+        _, _, da12 = gauge_curvature_components(s.a, s.model)
+        out = [d.alpha, d.beta1bar, da12 - ph.webster_float() - sq]
+    else:
+        d = dirac_eps(s.phi, s.a, ph, s.eps)
+        f12, f01, f02 = b_curvature_components(s.a, ph, s.model, s.eps)
+        f0 = (f01 + 1j * f02) / float(s.eps)
+        out = [d.alpha, d.beta1bar, f12 - 0.5 * sq, f0 - np.conj(alpha) * beta]
+    if constraint:
+        d_t = cov_deriv(s.phi, DIR_T, s.a, ph)
+        out += [d_t.alpha, d_t.beta1bar]
+    return out
+
+
+GRID8 = HeisGridBackend(HEIS, 8)
+
+
+@pytest.mark.parametrize("constraint", [False, True])
+@pytest.mark.parametrize(
+    "model, backend, eps",
+    [
+        (HEIS, None, None),
+        (HEIS, None, 0.25),
+        (HEIS, None, 0.5),
+        (S3, None, None),
+        (S3, None, 0.25),
+        (S3, None, 0.5),
+        (TORSION, None, None),
+        (OMEGA_MODEL, None, None),
+        (OMEGA_MODEL, None, 0.25),
+        (OMEGA_MODEL, None, 0.5),
+        (HEIS, GRID8, None),
+        (HEIS, GRID8, 0.25),
+        (HEIS, GRID8, 0.5),
+    ],
+    ids=[
+        "heis",
+        "heis-eps1/4",
+        "heis-eps1/2",
+        "s3",
+        "s3-eps1/4",
+        "s3-eps1/2",
+        "torsion",
+        "omega",
+        "omega-eps1/4",
+        "omega-eps1/2",
+        "grid8",
+        "grid8-eps1/4",
+        "grid8-eps1/2",
+    ],
+)
+def test_forms_match_operator_route(model, backend, eps, constraint):
+    # the forms yield both the residual and the Jacobian rows, so the two agree
+    # by construction; the operators of `fields` are the independent route
+    ph = derive_ph_invariants(model)
+    for seed in range(3):
+        s = random_monopole_state(model, backend or InvariantBackend(model), seed, eps)
+        got = solver_mod._residual_fields(s, ph, constraint)
+        want = operator_fields(s, ph, constraint)
+        assert [kind for kind, _ in got] == [
+            "c" if np.iscomplexobj(v) else "r" for v in want
+        ]
+        for (_, value), ref in zip(got, want):
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(value - ref)) <= 1e-13 * scale
+
+
+def test_solve_reports_max_iter_stop():
+    init = random_monopole_state(S3, InvariantBackend(S3), seed=1)
+    _, info = solve(S3, None, init, SolveOpts(max_iter=1), ph=PH_S3)
+    assert info.iterations == 1 and info.stop_reason == "max-iter"
 
 
 def test_jacobians_evaluate_no_residual(monkeypatch):
