@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """One sha256 per report `result` for a fixed set of CLI commands.
 
-Runs 19 `contactmono` commands (a derive, a curvature, four checks,
+Runs 25 `contactmono` commands (a derive, a curvature, four checks,
 invariant solves on the three catalog models with and without the Reeb
-constraint, two eps solves, a multi-seed solve, two sweeps and the two N=8
-heis-grid solves) and prints, per command, the sha256 of its `result`
+constraint, two eps solves, a multi-seed solve, two sweeps, the two N=8
+heis-grid solves, and a derive, a curvature and a check on each of two
+gen(p, q) models with fractional p and q) and prints, per command, the sha256 of its `result`
 object serialized as the report serializes it, then the exit code and the
 command.  Each sweep's CSV table is hashed too, as `csv_sha256`.  The grid
 solves also write their final state through the checkpoint writer; its
@@ -53,6 +54,12 @@ GRID = ["--backend", "heis-grid", "--N", "8"]
 # omega = e1 + e2/2: a model with horizontal connection weights
 OMEGA_E1_E2 = '{"c_0_12": "2", "c_1_12": "1", "c_2_12": "1/2"}'
 
+# gen(p, q) with fractional p and q: exact values with nontrivial denominators
+GEN_FRACTIONAL = [
+    '{"name": "g-5/4,1/3", "p": "-5/4", "q": "1/3"}',
+    '{"name": "g7/3,-2/5", "p": "7/3", "q": "-2/5"}',
+]
+
 COMMANDS = [
     ["derive", "--model", "round-s3", "--eps", "1/2"],
     ["curvature", "--model", "torsion", "--eps", "1/4"],
@@ -73,6 +80,15 @@ COMMANDS = [
     ["sweep", "--model", "round-s3", "--eps-list", LADDER_S3],
     ["solve", "--model", "heisenberg", *GRID],
     ["solve", "--model", "heisenberg", *GRID, "--eps", "1/2"],
+    *[
+        cmd
+        for model in GEN_FRACTIONAL
+        for cmd in (
+            ["derive", "--model", model, "--eps", "2/3"],
+            ["curvature", "--model", model, "--eps", "3/5"],
+            ["check", "--model", model],
+        )
+    ],
 ]
 
 # grid runs read this config, so their final state is written to state-seed0.*

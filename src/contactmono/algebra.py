@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple
 
 from .errors import AdmissibilityError, DegreeError, JacobiError
-from .exact import EC_I, EC_ONE, ExactComplex, parse_rational
+from .exact import EC_I, EC_ONE, EC_ZERO, ExactComplex, parse_rational
 
 Monomial = Tuple[int, ...]
 
@@ -90,8 +90,9 @@ class InvariantForm:
     def coeff(self, *idx: int) -> ExactComplex:
         sign, key = _sort_sign(idx)
         if sign == 0:
-            return ExactComplex(0)
-        return ExactComplex(sign) * self.coeffs.get(key, ExactComplex(0))
+            return EC_ZERO
+        v = self.coeffs.get(key, EC_ZERO)
+        return v if sign > 0 else -v
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -235,7 +236,10 @@ class ModelStructure:
     def __post_init__(self):
         table = {(i, j, j): 0.0 for i in range(3) for j in range(3)}
         for (i, (j, k)), v in self.c.items():
-            x = float(v.to_complex().real)
+            try:
+                x = float(v.to_complex().real)
+            except OverflowError:
+                raise ValueError(f"structure constant c^{i}_{j}{k} does not fit a float") from None
             table[(i, j, k)], table[(i, k, j)] = x, -x
         object.__setattr__(self, "_c_float", table)
 

@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
@@ -143,11 +144,26 @@ def parse_config(doc: Mapping) -> RunConfig:
             raise ConfigError("eps_list entries must be positive")
         if any(b >= a for a, b in zip(cfg.eps_list, cfg.eps_list[1:])):
             raise ConfigError("eps_list must be strictly decreasing")
+    # solve and sweep run in floats; derive and curvature stay exact
+    if cfg.command == "solve" and cfg.eps is not None and not _is_float_eps(cfg.eps):
+        raise ConfigError("eps does not lower to a positive finite float")
+    if cfg.command == "sweep" and cfg.eps_list is not None:
+        for k, e in enumerate(cfg.eps_list):
+            if not _is_float_eps(e):
+                raise ConfigError(f"eps_list entry {k} does not lower to a positive finite float")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
     if cfg.seeds < 1:
         raise ConfigError(f"seeds must be at least 1, got {cfg.seeds}")
     return cfg
+
+
+def _is_float_eps(eps: Fraction) -> bool:
+    """eps lowers to a positive finite float."""
+    try:
+        return 0.0 < float(eps) < math.inf
+    except OverflowError:
+        return False
 
 
 def _resolve_model(spec) -> ModelStructure:

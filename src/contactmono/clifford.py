@@ -54,11 +54,7 @@ def mat_scale(s, x: Mat2) -> Mat2:
 
 def mat_mul(x: Mat2, y: Mat2) -> Mat2:
     return tuple(
-        tuple(
-            sum((x[i][k] * y[k][j] for k in range(2)), ExactComplex(0))
-            for j in range(2)
-        )
-        for i in range(2)
+        tuple(x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in range(2)) for i in range(2)
     )
 
 

@@ -20,11 +20,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+
+# scipy.sparse is imported where a float solve first needs it, so that the
+# exact commands (derive, curvature, check) never load it: it is about half
+# the memory and start-up time of a process that imports contactmono
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 from .algebra import ModelStructure, is_heisenberg
 from .errors import NotASolution, PreconditionError, SolveError, TorsionError, WrongModel
@@ -458,6 +462,8 @@ def _assemble(blocks, backend) -> sp.coo_matrix:
         cols[part] = c * n3 + (local if idx is None else idx)
         vals[part] = coef
     vals *= math.sqrt(backend.volume / n3)
+    import scipy.sparse as sp
+
     return sp.coo_matrix((vals, (rows, cols)), shape=(row * n3, 7 * n3))
 
 
@@ -522,6 +528,8 @@ def _coulomb_project_grid(s: MonopoleState) -> MonopoleState:
         out = b.d_T(b.d_T(arr)) + b.d_e1(b.d_e1(arr)) + b.d_e2(b.d_e2(arr))
         return out.real.ravel()
 
+    import scipy.sparse.linalg as spla
+
     op = spla.LinearOperator((n3, n3), matvec=lap, dtype=float)
     chi, info = spla.cg(op, rhs, rtol=1e-12, atol=1e-14, maxiter=300)
     if info != 0:
@@ -547,6 +555,7 @@ ETA_SAFEGUARD = 0.1
 LSQR_ATOL = 1e-14
 LSQR_DAMP = 1e-12
 LSQR_ITER_LIM = 3000
+LSQR_ISTOP_ITER_LIM = 7  # lsqr's istop when it stops at iter_lim
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 # A grid system with fewer rows than unknowns (the contact system without the
@@ -601,6 +610,14 @@ class SolveInfo:
     # converged: the cost reached the loop tolerance; line-search-stalled: no
     # halving decreased the cost; max-iter: the loop ran out of steps
     stop_reason: str
+    # (istop, iterations) of the lsqr call of each grid step; empty for the
+    # invariant sector, whose steps are dense least squares
+    lsqr_steps: List[Tuple[int, int]] = field(default_factory=list)
+
+    @property
+    def lsqr_capped(self) -> int:
+        """Grid steps whose lsqr call stopped at LSQR_ITER_LIM."""
+        return sum(istop == LSQR_ISTOP_ITER_LIM for istop, _ in self.lsqr_steps)
 
 
 def random_monopole_state(
@@ -679,6 +696,7 @@ def solve(
         step_scale[5 * backend.n_points :] = HORIZONTAL_GAUGE_SCALE
     eta, prev = ETA_START, None  # prev: (|F|, |F + J p|) of the last grid step
     stalled = False
+    lsqr_steps = []
     for iterations in range(1, opts.max_iter + 1):
         if math.sqrt(cost) <= loop_tol:
             break
@@ -691,6 +709,8 @@ def solve(
                 eta = _forcing_term(eta, fnorm, *prev, loop_tol)
             if step_scale is not None:
                 jac.data *= step_scale[jac.indices]
+            import scipy.sparse.linalg as spla
+
             result = spla.lsqr(
                 jac,
                 rhs,
@@ -701,6 +721,7 @@ def solve(
             )
             p = result[0] if step_scale is None else step_scale * result[0]
             prev = (fnorm, float(result[3]))
+            lsqr_steps.append((int(result[1]), int(result[2])))
         else:
             jac = _invariant_jacobian(to_state(x), ph, opts.constraint, forms)
             p, *_ = np.linalg.lstsq(jac, -r, rcond=None)
@@ -739,6 +760,7 @@ def solve(
         report=rep,
         seed=opts.seed,
         stop_reason=stop_reason,
+        lsqr_steps=lsqr_steps,
     )
 
 

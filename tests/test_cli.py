@@ -190,6 +190,10 @@ def _one_line_error(capsys, fragment):
     assert fragment in err
 
 
+# gen(p, 1) with p = 10^400: the exact model is fine, its float lowering is not
+HUGE_P = '{"name": "g", "p": "1e400", "q": "1"}'
+
+
 @pytest.mark.parametrize(
     "argv, fragment",
     [
@@ -203,11 +207,24 @@ def _one_line_error(capsys, fragment):
         (["solve", "--seeds", "-2"], "seeds must be at least 1"),
         (["solve", "--seed", "-1"], "seed must be non-negative"),
         (["sweep", "--seed", "-1"], "seed must be non-negative"),
+        (["derive", "--model", HUGE_P], "c^1_02 does not fit a float"),
+        (["solve", "--model", HUGE_P], "c^1_02 does not fit a float"),
+        (["solve", "--eps", "1e-400"], "eps does not lower to a positive finite float"),
+        (["solve", "--eps", "1e400"], "eps does not lower to a positive finite float"),
+        (["sweep", "--eps-list", "1/2,1e-400"], "eps_list entry 1 does not lower"),
     ],
 )
 def test_main_bad_input_exits_3(argv, fragment, capsys):
     assert main(argv) == 3
     _one_line_error(capsys, fragment)
+
+
+@pytest.mark.parametrize("command", ["derive", "curvature"])
+def test_exact_commands_take_eps_below_float_range(command, tmp_path):
+    # only solve and sweep lower eps to a float
+    out = tmp_path / "r.json"
+    assert main([command, "--eps", "1e-400", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["result"]["eps"] == "1/1" + "0" * 400
 
 
 def test_main_bad_config_file_exits_3(tmp_path, capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from contactmono import algebra, pseudohermitian
 from contactmono import solver as solver_mod
@@ -455,16 +456,16 @@ def test_dirac_eps_eigenvector_on_grid():
 
 
 def _record_lsqr(monkeypatch):
-    """Wrap solver.spla.lsqr; returns the list of its (istop, iterations)."""
+    """Wrap scipy's lsqr; returns the list of its (istop, iterations)."""
     stops = []
-    lsqr = solver_mod.spla.lsqr
+    lsqr = spla.lsqr
 
     def recording(*args, **kwargs):
         out = lsqr(*args, **kwargs)
         stops.append((out[1], out[2]))
         return out
 
-    monkeypatch.setattr(solver_mod.spla, "lsqr", recording)
+    monkeypatch.setattr(spla, "lsqr", recording)
     return stops
 
 
@@ -486,8 +487,21 @@ def test_grid_eps_solve_under_phase_rotation(monkeypatch, angle):
     assert residual_sw(state, PH_HEIS).total <= 1e-6
     assert info.iterations <= 20
     assert stops and all(istop != 7 for istop, _ in stops)  # 7: stopped at iter_lim
+    assert info.lsqr_steps == stops and info.lsqr_capped == 0
     # inexact steps: solving every step to roundoff takes over 10x as many
     assert sum(itn for _, itn in stops) <= 2000
+
+
+def test_solve_reports_capped_lsqr_calls(monkeypatch):
+    # a step whose lsqr stops at its iteration cap says so in SolveInfo
+    monkeypatch.setattr(solver_mod, "LSQR_ITER_LIM", 5)
+    b = HeisGridBackend(HEIS, 8)
+    init = random_monopole_state(HEIS, b, seed=0)
+    stops = _record_lsqr(monkeypatch)
+    _, info = solve(HEIS, None, init, SolveOpts(seed=0, max_iter=3), ph=PH_HEIS)
+    assert info.lsqr_steps == stops and all(itn <= 5 for _, itn in stops)
+    # the first steps meet the loose early forcing term within the cap
+    assert info.lsqr_capped == sum(istop == 7 for istop, _ in stops) >= 1
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -711,7 +725,7 @@ def test_coulomb_projection_fails_loudly(monkeypatch):
     b = HeisGridBackend(HEIS, 8)
     s = random_monopole_state(HEIS, b, seed=0, eps=0.5)
     monkeypatch.setattr(
-        solver_mod.spla, "cg", lambda op, rhs, **kw: (np.zeros_like(rhs), 1)
+        spla, "cg", lambda op, rhs, **kw: (np.zeros_like(rhs), 1)
     )
     with pytest.raises(SolveError):
         solver_mod._coulomb_project_grid(s)
