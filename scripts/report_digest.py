@@ -7,10 +7,12 @@ constraint, two eps solves, a multi-seed solve, two sweeps, the two N=8
 heis-grid solves, and a derive, a curvature and a check on each of two
 gen(p, q) models with fractional p and q) and prints, per command, the sha256 of its `result`
 object serialized as the report serializes it, then the exit code and the
-command.  Each sweep's CSV table is hashed too, as `csv_sha256`.  The grid
-solves also write their final state through the checkpoint writer; its
-sha256 is printed as `state_sha256`, so the grid states are compared bit
-for bit.
+command.  Each sweep's CSV table is hashed too, as `csv_sha256`.  Each grid
+solve is repeated in-process from the state the CLI starts from
+(`random_monopole_state` and `solve` with seed 0), and its final fields in
+sorted-name order (a0, a1re, a2re, alpha, beta1bar), as little-endian
+complex128, are hashed as `state_sha256`, so the grid states are compared
+bit for bit.
 
 After the commands come the bytes of the solver's linearisation and
 residual at fixed random states: `jacobian_sha256` hashes the `indptr`,
@@ -39,11 +41,14 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from contactmono import solver
 from contactmono.algebra import catalog_model, model_from_json
 from contactmono.cli import main as cli_main
+from contactmono.cli import parse_config
 from contactmono.fields import HeisGridBackend, InvariantBackend
 from contactmono.pseudohermitian import derive_ph_invariants
 
@@ -91,42 +96,53 @@ COMMANDS = [
     ],
 ]
 
-# grid runs read this config, so their final state is written to state-seed0.*
-CHECKPOINT = "state"
-
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest(argv, save=None):
-    """(result sha256, exit code, {label: sha256} of its files) of one command.
+def grid_state_sha256(config) -> str:
+    """sha256 of the final state of the grid solve of a report's config.
 
-    The files are a sweep's CSV table and a grid solve's final state.
+    The solve is run in-process the way the CLI runs it, from a catalog model.
+    """
+    cfg = parse_config(config)
+    m = catalog_model(cfg.model)
+    eps = float(cfg.eps) if cfg.eps is not None else None
+    backend = HeisGridBackend(m, cfg.N)
+    init = solver.random_monopole_state(m, backend, seed=cfg.seed, eps=eps)
+    opts = solver.SolveOpts(seed=cfg.seed, constraint=cfg.constraint)
+    state, _ = solver.solve(m, eps, init, opts)
+    named = {
+        "a0": state.a.a0,
+        "a1re": state.a.a1re,
+        "a2re": state.a.a2re,
+        "alpha": state.phi.alpha,
+        "beta1bar": state.phi.beta1bar,
+    }
+    return sha256(b"".join(np.asarray(v, dtype="<c16").tobytes() for v in named.values()))
+
+
+def digest(argv, save=None):
+    """(result sha256, exit code, {label: sha256} of its outputs) of one command.
+
+    The outputs are a sweep's CSV table and a grid solve's final state.
     With `save` a path, the argv, exit code and result are written there.
     """
-    extra = []
-    grid = "heis-grid" in argv
-    if grid:
-        with open("config.json", "w") as fh:
-            json.dump({"checkpoint": CHECKPOINT}, fh)
-        extra = ["--config", "config.json"]
-    code = cli_main([*argv, *extra, "--output", "report.json"])
+    code = cli_main([*argv, "--output", "report.json"])
     with open("report.json") as fh:
-        result = json.load(fh)["result"]
+        report = json.load(fh)
+    result = report["result"]
     text = json.dumps(result, sort_keys=True, indent=2)
     if save is not None:
         with open(save, "w") as fh:
             json.dump({"argv": argv, "exit": code, "result": result}, fh, indent=2)
-    paths = {}
-    if argv[0] == "sweep":
-        paths["csv_sha256"] = "report.csv"
-    if grid:
-        paths["state_sha256"] = f"{CHECKPOINT}-seed0.bin"
     files = {}
-    for label, path in paths.items():
-        with open(path, "rb") as fh:
-            files[label] = sha256(fh.read())
+    if argv[0] == "sweep":
+        with open("report.csv", "rb") as fh:
+            files["csv_sha256"] = sha256(fh.read())
+    if "heis-grid" in argv:
+        files["state_sha256"] = grid_state_sha256(report["config"])
     return sha256(text.encode()), code, files
 
 
@@ -172,7 +188,7 @@ def main():
         os.makedirs(save_dir, exist_ok=True)
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)  # checkpoint paths inside the result stay relative
+        os.chdir(tmp)  # the reports are written here
         try:
             for k, argv in enumerate(COMMANDS):
                 save = save_dir and os.path.join(save_dir, f"{k:02d}.json")

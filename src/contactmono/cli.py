@@ -100,7 +100,6 @@ class RunConfig:
     seeds: int = _key(1, int)
     constraint: bool = _key(False, bool)
     output: Optional[str] = None
-    checkpoint: Optional[str] = None  # grid-state checkpoint path prefix
 
     def effective(self) -> dict:
         doc = asdict(self)
@@ -325,21 +324,6 @@ def _solve_one(cfg: RunConfig, m, ph, backend, seed: int) -> dict:
         "converged": info.converged,
         "residuals": info.report.as_dict(),
     }
-    if cfg.checkpoint and backend.kind == "heis-grid":
-        from .fields import save_grid_fields
-
-        save_grid_fields(
-            f"{cfg.checkpoint}-seed{seed}",
-            backend,
-            {
-                "alpha": state.phi.alpha,
-                "beta1bar": state.phi.beta1bar,
-                "a0": state.a.a0,
-                "a1re": state.a.a1re,
-                "a2re": state.a.a2re,
-            },
-        )
-        out["checkpoint"] = f"{cfg.checkpoint}-seed{seed}"
     if backend.kind == "invariant":
         out["state"] = {
             "alpha": [state.phi.alpha.real, state.phi.alpha.imag],

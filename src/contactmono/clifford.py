@@ -42,6 +42,7 @@ MAT_ID = mat2(1, 0, 0, 1)
 
 
 def mat_add(x: Mat2, y: Mat2) -> Mat2:
+    """Entrywise sum; with mat_dagger it also serves FormMat entries."""
     return tuple(
         tuple(a + b for a, b in zip(rx, ry)) for rx, ry in zip(x, y)
     )
@@ -220,10 +221,6 @@ def _form_mat(a00, a01, a10, a11) -> FormMat:
     return ((a00, a01), (a10, a11))
 
 
-def form_mat_add(x: FormMat, y: FormMat) -> FormMat:
-    return tuple(tuple(a + b for a, b in zip(rx, ry)) for rx, ry in zip(x, y))
-
-
 def form_mat_eval(x: FormMat, vec) -> Mat2:
     """Evaluate every entry on a frame vector triple."""
     return tuple(
@@ -232,12 +229,6 @@ def form_mat_eval(x: FormMat, vec) -> Mat2:
             for entry in row
         )
         for row in x
-    )
-
-
-def form_mat_dagger(x: FormMat) -> FormMat:
-    return tuple(
-        tuple(x[j][i].conjugate() for j in range(2)) for i in range(2)
     )
 
 
@@ -253,7 +244,7 @@ class ConnCoeffs:
 
     def full(self) -> FormMat:
         ia = EC_I * self.twist
-        return form_mat_add(
+        return mat_add(
             self.base,
             _form_mat(ia, InvariantForm.zero(1), InvariantForm.zero(1), ia),
         )
@@ -321,7 +312,7 @@ def curvature_trace(cc: ConnCoeffs, m: ModelStructure) -> CurvatureTrace:
 
 def unitarity_diagnostic(cc: ConnCoeffs) -> Tuple[bool, FormMat]:
     """Is base + base^dagger = 0?  (Fails for the displayed torsion entries.)"""
-    s = form_mat_add(cc.base, form_mat_dagger(cc.base))
+    s = mat_add(cc.base, mat_dagger(cc.base))
     ok = all(entry.is_zero() for row in s for entry in row)
     return ok, s
 

@@ -75,13 +75,27 @@ class _Stencil(tuple):
 class Backend:
     """What the field operators need of a backend.
 
-    A backend has `shape` (the array shape of one field component), `n_points`,
-    the frame derivatives `d_T`, `d_e1`, `d_e2`, and `stencils`, the frame
-    operators (T, e1, e2, Z1, Z1bar) as _Stencil rows for the solver's
-    equation forms; integrals are point sums weighted by volume / n_points.
+    A backend has `shape` (the array shape of one field component), `n_points`
+    and `stencils`, the frame operators (T, e1, e2, Z1, Z1bar) as _Stencil
+    rows: the one definition of its discretisation, which `apply` runs on a
+    field and the solver's equation forms assemble into the Jacobian.
+    Integrals are point sums weighted by volume / n_points.
     """
 
     volume = 2.0  # contact volume of the unit fundamental domain
+
+    def apply(self, k: int, arr):
+        """Frame operator k of `stencils` applied to a field."""
+        return self.stencils[k].apply(np.ravel(arr)).reshape(np.shape(arr))
+
+    def d_T(self, arr):
+        return self.apply(0, arr)
+
+    def d_e1(self, arr):
+        return self.apply(1, arr)
+
+    def d_e2(self, arr):
+        return self.apply(2, arr)
 
     def zero(self):
         return np.zeros(self.shape, dtype=complex)[()]
@@ -104,10 +118,8 @@ class InvariantBackend(Backend):
     def __init__(self, model: ModelStructure):
         self.model = model
 
-    def d_T(self, arr):
+    def apply(self, k: int, arr):
         return 0j
-
-    d_e1 = d_e2 = d_T
 
     def __repr__(self):
         return f"InvariantBackend({self.model.name})"
@@ -128,7 +140,6 @@ class HeisGridBackend(Backend):
         self.h = 1.0 / n
         self.shape = (n, n, n)
         self.n_points = n**3
-        self.y = (np.arange(n) * self.h)[None, :, None]  # broadcast over (i,j,k)
         self._build_wraps(n)
 
     def _build_wraps(self, n: int):
@@ -150,22 +161,9 @@ class HeisGridBackend(Backend):
         self.yp = flat(i, (j + 1) % n, up_k).ravel()
         self.ym = flat(i, (j - 1) % n, dn_k).ravel()
 
-    def _shift(self, arr, idx):
-        return arr.ravel()[idx].reshape(arr.shape)
-
-    def d_T(self, arr):
-        return (self._shift(arr, self.zp) - self._shift(arr, self.zm)) / (2 * self.h)
-
-    def d_e1(self, arr):
-        dx = (self._shift(arr, self.xp) - self._shift(arr, self.xm)) / (2 * self.h)
-        return dx + 2 * self.y * self.d_T(arr)
-
-    def d_e2(self, arr):
-        return (self._shift(arr, self.yp) - self._shift(arr, self.ym)) / (2 * self.h)
-
     @cached_property
     def stencils(self):
-        """d_T, d_e1, d_e2 and Z1, Z1bar = (e1 -+ i e2)/2 as stencils."""
+        """T, e1, e2 and Z1, Z1bar = (e1 -+ i e2)/2: central differences over the wraps."""
         inv2h = 1.0 / (2 * self.h)
 
         def central(plus, minus):
@@ -173,7 +171,7 @@ class HeisGridBackend(Backend):
 
         dz = central(self.zp, self.zm)
         dx = central(self.xp, self.xm)
-        y = np.broadcast_to(self.y, self.shape).ravel()
+        y = np.broadcast_to(self.coords()[1], self.shape).ravel()
         de1 = dx + dz * (2 * y)  # the factor 2y scales the rows of dz
         de2 = central(self.yp, self.ym)
         return dz, de1, de2, 0.5 * (de1 - 1j * de2), 0.5 * (de1 + 1j * de2)
@@ -260,14 +258,14 @@ def _connection_weight(ph: PhInvariants, direction: str):
     raise ValueError(f"unknown direction {direction!r}")
 
 
+# each direction's operator in Backend.stencils
+_STENCIL_OF = {DIR_T: 0, DIR_Z1: 3, DIR_Z1BAR: 4}
+
+
 def _frame_derivative(backend: Backend, direction: str, arr):
-    if direction == DIR_T:
-        return backend.d_T(arr)
-    if direction == DIR_Z1:
-        return (backend.d_e1(arr) - 1j * backend.d_e2(arr)) * 0.5
-    if direction == DIR_Z1BAR:
-        return (backend.d_e1(arr) + 1j * backend.d_e2(arr)) * 0.5
-    raise ValueError(f"unknown direction {direction!r}")
+    if direction not in _STENCIL_OF:
+        raise ValueError(f"unknown direction {direction!r}")
+    return backend.apply(_STENCIL_OF[direction], arr)
 
 
 def cov_deriv(
@@ -349,27 +347,20 @@ def divergence_check(v_idx: int, backend: Backend) -> float:
     """
     if backend.kind == "invariant":
         return 0.0
-    n = backend.n
     x, y, z = backend.coords()
-    ones = np.ones((n, n, n), dtype=complex)
-    # discrete coordinate divergence of the frame field
+    ones = np.ones(backend.shape, dtype=complex)
+    # discrete coordinate divergence of the frame field: T = Dz and e2 = Dy
+    # have the constant coefficient 1, and e1 = Dx + 2y Dz has div = Dx(1) +
+    # Dz(2y), with Dx = e1 - 2y Dz
+    div = backend.apply(v_idx, ones)
     if v_idx == 1:
-        # e1 = d/dx + 2y d/dz: div = Dx(1) + Dz(2y)
-        div = (
-            backend._shift(ones, backend.xp) - backend._shift(ones, backend.xm)
-        ) / (2 * backend.h) + backend.d_T(2 * y * ones)
-    elif v_idx == 2:
-        div = (
-            backend._shift(ones, backend.yp) - backend._shift(ones, backend.ym)
-        ) / (2 * backend.h)
-    else:
-        div = backend.d_T(ones)
+        div = div - 2 * y * backend.apply(0, ones) + backend.apply(0, 2 * y * ones)
     total = abs(backend.integrate(div))
     # summation by parts: the integrated frame derivative of any state vanishes
     test = np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y) + np.sin(2 * np.pi * z) * (
         1 + np.cos(2 * np.pi * x)
     )
-    deriv = {0: backend.d_T, 1: backend.d_e1, 2: backend.d_e2}[v_idx](test + 0j)
+    deriv = backend.apply(v_idx, test + 0j)
     total = max(total, abs(backend.integrate(deriv)))
     return float(total)
 
@@ -411,10 +402,9 @@ def gauge_curvature_components(a: GaugeField, m: ModelStructure):
     """
     b = a.backend
     comps = (a.a0, a.a1re, a.a2re)
-    ops = (b.d_T, b.d_e1, b.d_e2)
 
     def deriv(j, k):
-        return ops[j](comps[k] + 0j).real
+        return b.apply(j, comps[k] + 0j).real
 
     out = []
     for (j, k) in ((0, 1), (0, 2), (1, 2)):
@@ -490,63 +480,8 @@ def gauge_transform(a: GaugeField, f: SpinorField, chi) -> Tuple[GaugeField, Spi
     the grid for smooth chi).
     """
     b = a.backend
-    d0 = b.d_T(chi + 0j).real
-    d1 = b.d_e1(chi + 0j).real
-    d2 = b.d_e2(chi + 0j).real
+    d0, d1, d2 = (b.apply(k, chi + 0j).real for k in range(3))
     a_new = GaugeField(a.a0 - d0, a.a1re - d1, a.a2re - d2, b)
     phase = np.exp(1j * chi)
     f_new = SpinorField(f.alpha * phase, f.beta1bar * phase, b)
     return a_new, f_new
-
-
-def save_grid_fields(prefix: str, backend: HeisGridBackend, named_fields):
-    """Checkpoint grid fields: '<prefix>.bin' plus a '<prefix>.json' sidecar.
-
-    Binary layout: for each field (in the sidecar's order) the N^3 complex
-    values in row-major (x, y, z) order as little-endian float64 (re, im)
-    pairs.  Real fields are stored the same way with zero imaginary parts.
-    """
-    import json as _json
-
-    names = sorted(named_fields)
-    flat = []
-    for name in names:
-        arr = np.ascontiguousarray(named_fields[name], dtype=complex)
-        if arr.shape != (backend.n,) * 3:
-            raise ValueError(f"field {name!r} has wrong shape {arr.shape}")
-        pairs = np.empty((arr.size, 2), dtype="<f8")
-        pairs[:, 0] = arr.real.ravel()
-        pairs[:, 1] = arr.imag.ravel()
-        flat.append(pairs.ravel())
-    np.concatenate(flat).tofile(prefix + ".bin")
-    sidecar = {
-        "N": backend.n,
-        "model": backend.model.name,
-        "field-names": names,
-    }
-    with open(prefix + ".json", "w") as fh:
-        _json.dump(sidecar, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def load_grid_fields(prefix: str, model: ModelStructure):
-    """Load a checkpoint written by save_grid_fields."""
-    import json as _json
-
-    with open(prefix + ".json") as fh:
-        sidecar = _json.load(fh)
-    if sidecar["model"] != model.name:
-        raise WrongModel(
-            f"checkpoint is for model {sidecar['model']!r}, not {model.name!r}"
-        )
-    backend = HeisGridBackend(model, int(sidecar["N"]))
-    n3 = backend.n**3
-    raw = np.fromfile(prefix + ".bin", dtype="<f8")
-    names = sidecar["field-names"]
-    if raw.size != 2 * n3 * len(names):
-        raise ValueError("checkpoint size does not match its sidecar")
-    out = {}
-    for i, name in enumerate(names):
-        chunk = raw[2 * n3 * i : 2 * n3 * (i + 1)].reshape(n3, 2)
-        out[name] = (chunk[:, 0] + 1j * chunk[:, 1]).reshape((backend.n,) * 3)
-    return backend, out

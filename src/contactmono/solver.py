@@ -467,18 +467,22 @@ def _assemble(blocks, backend) -> sp.coo_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=(row * n3, 7 * n3))
 
 
+def _coulomb_form(backend) -> _Form:
+    """div(a) = dz a0 + de1 a1 + de2 a2 with the backend's frame stencils."""
+    return _Form("r", lin=dict(zip((A0, A1, A2), backend.stencils[:3])))
+
+
 def _grid_jacobian(
     s: MonopoleState, ph: PhInvariants, constraint: bool, forms=None
 ) -> sp.csr_matrix:
     """Jacobian of the stacked real residual, plus the Coulomb rows.
 
-    The last N^3 rows are div(p_a) = dz p_a0 + de1 p_a1 + de2 p_a2 with the
-    residual weight; solve pairs them with -div(a), which fixes the gauge
-    directions of the step.
+    The last N^3 rows are the rows of _coulomb_form with the residual weight;
+    solve pairs them with -div(a), which fixes the gauge directions of the
+    step.
     """
     blocks = _linear_blocks(s, ph, constraint, forms)
-    coulomb = _Form("r", lin=dict(zip((A0, A1, A2), s.backend.stencils[:3])))
-    blocks.append(coulomb.rows(None))
+    blocks.append(_coulomb_form(s.backend).rows(None))
     return _assemble(blocks, s.backend).tocsr()
 
 
@@ -506,27 +510,27 @@ def _phase_fix_invariant(x: np.ndarray) -> np.ndarray:
 
 
 def _grid_divergence(a: GaugeField) -> np.ndarray:
-    """div(a) = dz a0 + de1 a1 + de2 a2 with the grid frame operators."""
-    b = a.backend
-    return (b.d_T(a.a0 + 0j) + b.d_e1(a.a1re + 0j) + b.d_e2(a.a2re + 0j)).real
+    """div(a), flat: the value of _coulomb_form, whose rows _grid_jacobian holds."""
+    u = dict(zip((A0, A1, A2), (np.ravel(v) for v in (a.a0, a.a1re, a.a2re))))
+    return _coulomb_form(a.backend).value(u)
 
 
 def _coulomb_project_grid(s: MonopoleState) -> MonopoleState:
     """Project a to the discrete Coulomb slice and fix the base-point phase.
 
-    Solves the frame Laplacian Delta chi = div(a) by conjugate gradients and
-    applies gauge_transform(a, Phi, chi).  Raises SolveError when CG does not
+    Solves the frame Laplacian div(grad chi) = div(a) by conjugate gradients,
+    with the frame stencils as grad and _coulomb_form as div, and applies
+    gauge_transform(a, Phi, chi).  Raises SolveError when CG does not
     converge.
     """
     b = s.backend
     n3 = b.n_points
-    rhs = _grid_divergence(s.a).ravel()
+    div = _coulomb_form(b)
+    rhs = _grid_divergence(s.a)
     rhs = rhs - rhs.mean()
 
     def lap(v):
-        arr = v.reshape(b.shape) + 0j
-        out = b.d_T(b.d_T(arr)) + b.d_e1(b.d_e1(arr)) + b.d_e2(b.d_e2(arr))
-        return out.real.ravel()
+        return div.value({slot: op.apply(v) for slot, op in div.lin.items()})
 
     import scipy.sparse.linalg as spla
 
@@ -703,7 +707,7 @@ def solve(
         if grid:
             st = to_state(x)
             jac = _grid_jacobian(st, ph, opts.constraint, forms)
-            rhs = -np.concatenate([r, coulomb_weight * _grid_divergence(st.a).ravel()])
+            rhs = -np.concatenate([r, coulomb_weight * _grid_divergence(st.a)])
             fnorm = float(np.linalg.norm(rhs))
             if prev is not None:
                 eta = _forcing_term(eta, fnorm, *prev, loop_tol)

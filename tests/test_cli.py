@@ -133,7 +133,7 @@ def test_main_cli_roundtrip(tmp_path, capsys):
     assert code == 0
 
 
-def test_run_solve_grid_with_checkpoint(tmp_path):
+def test_run_solve_grid():
     cfg = parse_config(
         {
             "command": "solve",
@@ -141,7 +141,6 @@ def test_run_solve_grid_with_checkpoint(tmp_path):
             "backend": "heis-grid",
             "N": 8,
             "seed": 1,
-            "checkpoint": str(tmp_path / "state"),
         }
     )
     code, report = run(cfg)
@@ -149,8 +148,6 @@ def test_run_solve_grid_with_checkpoint(tmp_path):
     r = report["result"]["runs"][0]
     assert r["converged"]
     assert r["residuals"]["total"] <= 1e-6
-    assert (tmp_path / "state-seed1.bin").exists()
-    assert (tmp_path / "state-seed1.json").exists()
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -236,12 +233,15 @@ def test_main_bad_config_file_exits_3(tmp_path, capsys):
     _one_line_error(capsys, "missing.json")
 
 
-def test_main_tolerances_key_exits_3(tmp_path, capsys):
-    # the certificate bounds are fixed; a config may not set them
+@pytest.mark.parametrize("key", ["tolerances", "checkpoint"])
+def test_main_tolerances_key_exits_3(key, tmp_path, capsys):
+    # the certificate bounds are fixed and no command writes grid states; a
+    # config may set neither
+    value = {"tolerances": {"phi_sup": 1e-6}, "checkpoint": "state"}[key]
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"tolerances": {"phi_sup": 1e-6}}))
+    cfg_file.write_text(json.dumps({key: value}))
     assert main(["solve", "--config", str(cfg_file)]) == 3
-    _one_line_error(capsys, "'tolerances'")
+    _one_line_error(capsys, f"'{key}'")
 
 
 @pytest.mark.parametrize("error", INPUT_ERRORS)
