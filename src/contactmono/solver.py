@@ -19,8 +19,9 @@ Gauss-Newton on the stacked weighted residual; the optional Reeb constraint
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -279,17 +280,22 @@ class _Form:
         out = out + sum(q * u[s] * u[t] for (s, t), q in self.quad.items())
         return out if self.kind == "c" else np.real(out)
 
-    def rows(self, u):
-        """Row block of the linearisation at u, in the format _assemble reads.
-
-        Slot s holds lin[s] and, on the diagonal, the sum over the quadratic
-        terms in s of the coefficient times the other factor.
-        """
+    def diagonal(self, u):
+        """{slot s: the sum over the quadratic terms in s of the coefficient
+        times the other factor}, the state-dependent part of the linearisation at u."""
         diag = {}
         for (s, t), q in self.quad.items():
             for slot, other in ((s, t), (t, s)):
                 term = q * u[other]
                 diag[slot] = diag[slot] + term if slot in diag else term
+        return diag
+
+    def rows(self, diag):
+        """Row block of the linearisation, in the format _assemble reads.
+
+        Slot s holds lin[s] and diag[s] on the diagonal: diag is diagonal(u)
+        at a state u, or a _Diag placeholder per slot.
+        """
         rows = [self.lin.get(s, _Stencil()) for s in range(7)]
         for s, coef in diag.items():
             rows[s] = rows[s] + _Stencil(((None, coef),))
@@ -404,32 +410,52 @@ def _stack_residual(
     return np.concatenate([np.atleast_1d(r) for r in rows])
 
 
-def _linear_blocks(s: MonopoleState, ph: PhInvariants, constraint: bool, forms=None):
-    """Row blocks of the linearisation of _residual_fields at s, in its order."""
-    u = _slots(s)
-    forms = forms or _forms(s, ph, constraint)
-    return [f.rows(u) for f in forms]
+class _Diag(NamedTuple):
+    """Placeholder for diagonal k of a _Linearisation, complex unless real by type."""
+
+    k: int
+    complex: bool
+
+
+class _Mark(NamedTuple):
+    """An entry of diagonal k: sign times its real (imag 0) or imaginary part."""
+
+    k: int
+    imag: int
+    sign: int = 1
+
+    def __rmul__(self, factor):
+        return self._replace(sign=factor * self.sign)
 
 
 def _re_im(v):
-    """(Re v, Im v), with 0.0 for a vanishing imaginary part (no stored zeros)."""
+    """(Re v, Im v), with 0.0 for a vanishing imaginary part (no stored zeros).
+
+    A _Diag splits into _Marks, and has an imaginary part when it is complex.
+    """
+    if isinstance(v, _Diag):
+        return _Mark(v.k, 0), (_Mark(v.k, 1) if v.complex else 0.0)
     if np.iscomplexobj(v) and np.any(v.imag):
         return v.real, v.imag
     return np.real(v), 0.0
 
 
-def _assemble(blocks, backend) -> sp.coo_matrix:
-    """The real matrix of the row blocks, times the residual weight.
+def _assemble(blocks, backend):
+    """The real matrix of the row blocks times the residual weight, as COO,
+    and the list of its placeholder entries.
 
     Realify: a complex row block is a block of real parts followed by one of
     imaginary parts, and so is a complex column block.  coef * u has
-    [[Re, -Im], [Im, Re]] and coef * conj(u) has [[Re, Im], [Im, -Re]].
+    [[Re, -Im], [Im, Re]] and coef * conj(u) has [[Re, Im], [Im, -Re]].  A
+    _Diag coefficient is stored as -0.0, the identity of addition, in each of
+    its realified entries, and each is listed as (row block, column block,
+    _Mark).
     """
     n3 = backend.n_points
-    entries = []  # (row block, column block, idx, real coefficient)
+    entries = []  # (row block, column block, idx, real coefficient or _Mark)
 
     def add(row, col, idx, coef):
-        if np.ndim(coef) or coef != 0:
+        if isinstance(coef, _Mark) or np.ndim(coef) or coef != 0:
             entries.append((row, col, idx, coef))
 
     row = 0
@@ -456,15 +482,19 @@ def _assemble(blocks, backend) -> sp.coo_matrix:
     rows = np.empty(len(entries) * n3, dtype=np.int32)
     cols = np.empty_like(rows)
     vals = np.empty(len(entries) * n3)
+    marks = []
     for k, (r, c, idx, coef) in enumerate(entries):
         part = slice(k * n3, (k + 1) * n3)
         rows[part] = r * n3 + local
         cols[part] = c * n3 + (local if idx is None else idx)
+        if isinstance(coef, _Mark):
+            marks.append((r, c, coef))
+            coef = -0.0
         vals[part] = coef
     vals *= math.sqrt(backend.volume / n3)
     import scipy.sparse as sp
 
-    return sp.coo_matrix((vals, (rows, cols)), shape=(row * n3, 7 * n3))
+    return sp.coo_matrix((vals, (rows, cols)), shape=(row * n3, 7 * n3)), marks
 
 
 def _coulomb_form(backend) -> _Form:
@@ -472,25 +502,131 @@ def _coulomb_form(backend) -> _Form:
     return _Form("r", lin=dict(zip((A0, A1, A2), backend.stencils[:3])))
 
 
+class _Linearisation:
+    """The Jacobian of a list of forms, compiled once and evaluated per state.
+
+    The forms' linear part does not depend on the state, and their quadratic
+    part only adds _Form.diagonal(u) on the diagonal.  The first jacobian call
+    compiles: _assemble builds the weighted, realified matrix of the linear
+    part (with the Coulomb rows on the grid) once, with a _Diag placeholder
+    per diagonal, and the positions of the placeholders' entries in its data
+    are kept.  Each call then evaluates the diagonals and adds them, scaled
+    and signed, at those positions to a copy of the data.
+
+    A fresh assembly at u sums each entry's terms in its own order; here the
+    diagonals come last.  Both agree bit for bit when no entry sums more than
+    two nonzero terms, as in every system of _forms.
+    """
+
+    def __init__(self, forms: Sequence[_Form], backend):
+        self.forms = forms
+        self.backend = backend
+        self._data = None
+
+    def _compile(self):
+        b = self.backend
+        n3 = b.n_points
+        grid = b.kind == "heis-grid"
+        probe = [np.zeros(1, complex)] * 4 + [np.zeros(1)] * 3  # slot types
+        blocks, k = [], 0
+        for f in self.forms:
+            diag = {}
+            for slot, coef in f.diagonal(probe).items():
+                diag[slot] = _Diag(k, np.iscomplexobj(coef))
+                k += 1
+            blocks.append(f.rows(diag))
+        if grid:
+            blocks.append(_coulomb_form(b).rows({}))
+        coo, marks = _assemble(blocks, b)
+        n_rows, n_cols = self._shape = coo.shape
+        # a mark (r, c, _) has the entries (r n3 + i, c n3 + i), and an entry
+        # (row, col) the key row * n_cols + col
+        keys = np.array([(r * n_cols + c) * n3 for r, c, _ in marks])[:, None]
+        keys = keys + np.arange(n3) * (n_cols + 1)
+        if grid:
+            import scipy.sparse as sp
+
+            jac = coo.tocsr()
+            del coo
+            nnz_keys = np.repeat(np.arange(n_rows) * n_cols, np.diff(jac.indptr))
+            nnz_keys += jac.indices
+            keys = np.searchsorted(nnz_keys, keys)
+            del nnz_keys
+            self._data, self._indices, self._indptr = jac.data, jac.indices, jac.indptr
+            # J^T in CSR: the CSC arrays of J, with each entry's index in J's data
+            order = sp.csr_matrix(
+                (np.arange(jac.nnz, dtype=np.int32), jac.indices, jac.indptr), shape=jac.shape
+            ).tocsc()
+            self._perm, self._t_indices, self._t_indptr = order.data, order.indices, order.indptr
+        else:
+            self._data = coo.toarray().ravel()
+        # marks that share entries go to successive layers, so that the
+        # entries within a layer are distinct
+        seen = Counter()
+        layer = []
+        for r, c, _ in marks:
+            layer.append(seen[r, c])
+            seen[r, c] += 1
+        order = np.argsort(layer, kind="stable")
+        bounds = np.cumsum([0, *np.bincount(layer)])
+        self._layers = [slice(a, z) for a, z in zip(bounds[:-1], bounds[1:])]
+        self._pos = keys[order].astype(np.int32)
+        ordered = [marks[i][2] for i in order]
+        self._diag = np.array([m.k for m in ordered])
+        self._imag = np.array([m.imag for m in ordered])
+        weight = math.sqrt(b.volume / n3)
+        self._scale = np.array([[m.sign * weight] for m in ordered])
+
+    def jacobian(self, s: MonopoleState):
+        """The Jacobian at s: CSR with the Coulomb rows on the grid, dense at
+        one point.  Its data is a fresh array, and the caller may scale it."""
+        if self._data is None:
+            self._compile()
+        u = _slots(s)
+        d = np.array([v for f in self.forms for v in f.diagonal(u).values()], dtype=complex)
+        d = d.reshape(len(d), -1)
+        vals = np.stack((d.real, d.imag))[self._imag, self._diag]
+        vals *= self._scale
+        data = self._data.copy()
+        for layer in self._layers:
+            data[self._pos[layer]] += vals[layer]
+        if self.backend.kind != "heis-grid":
+            return data.reshape(self._shape)
+        import scipy.sparse as sp
+
+        return sp.csr_matrix((data, self._indices, self._indptr), shape=self._shape)
+
+    def transpose(self, jac):
+        """The transpose of a grid jacobian() (scaled or not) as CSR."""
+        import scipy.sparse as sp
+
+        return sp.csr_matrix(
+            (jac.data[self._perm], self._t_indices, self._t_indptr), shape=jac.shape[::-1]
+        )
+
+
 def _grid_jacobian(
-    s: MonopoleState, ph: PhInvariants, constraint: bool, forms=None
+    s: MonopoleState, ph: PhInvariants, constraint: bool, lin=None
 ) -> sp.csr_matrix:
-    """Jacobian of the stacked real residual, plus the Coulomb rows.
+    """Jacobian of the stacked real residual, plus the Coulomb rows, as CSR.
 
     The last N^3 rows are the rows of _coulomb_form with the residual weight;
     solve pairs them with -div(a), which fixes the gauge directions of the
-    step.
+    step.  lin is the solve's _Linearisation; without it one is compiled
+    for this call.
     """
-    blocks = _linear_blocks(s, ph, constraint, forms)
-    blocks.append(_coulomb_form(s.backend).rows(None))
-    return _assemble(blocks, s.backend).tocsr()
+    return (lin or _Linearisation(_forms(s, ph, constraint), s.backend)).jacobian(s)
 
 
 def _invariant_jacobian(
-    s: MonopoleState, ph: PhInvariants, constraint: bool, forms=None
+    s: MonopoleState, ph: PhInvariants, constraint: bool, lin=None
 ) -> np.ndarray:
-    """Dense 7-column Jacobian of the stacked residual: the rows at one point."""
-    return _assemble(_linear_blocks(s, ph, constraint, forms), s.backend).toarray()
+    """Dense 7-column Jacobian of the stacked residual: the rows at one point.
+
+    lin is the solve's _Linearisation; without it one is compiled for this
+    call.
+    """
+    return (lin or _Linearisation(_forms(s, ph, constraint), s.backend)).jacobian(s)
 
 
 # --- gauge fixing ---------------------------------------------------------------
@@ -591,6 +727,24 @@ def _forcing_term(
     return min(max(eta, ETA_MIN), ETA_MAX)
 
 
+def _lsqr_step(jac, lin: _Linearisation, rhs: np.ndarray, eta: float, step_scale):
+    """lsqr on jac S, for S the diagonal step_scale (None for 1).
+
+    jac's columns are scaled in place.  lsqr's transpose products run on the
+    CSR matrix lin.transpose(jac), which gives the same sums in the same
+    order as the CSC kernel of jac.T and is faster.
+    """
+    if step_scale is not None:
+        jac.data *= step_scale[jac.indices]
+    jac_t = lin.transpose(jac)
+    import scipy.sparse.linalg as spla
+
+    op = spla.LinearOperator(jac.shape, matvec=jac.dot, rmatvec=jac_t.dot, dtype=float)
+    return spla.lsqr(
+        op, rhs, damp=LSQR_DAMP, atol=LSQR_ATOL, btol=eta, iter_lim=LSQR_ITER_LIM
+    )
+
+
 # a solve has converged when its residual norm is below these
 CONVERGED_INVARIANT = 1e-10
 CONVERGED_GRID = 1e-6
@@ -662,7 +816,8 @@ def solve(
 
     Invariant sector: exact least-squares steps.  Grid: inexact steps by
     lsqr on the Jacobian with the Coulomb rows appended (see _forcing_term
-    and HORIZONTAL_GAUGE_SCALE).
+    and HORIZONTAL_GAUGE_SCALE).  The forms are built and their Jacobian is
+    compiled once per solve (_Linearisation); a step only evaluates it.
     """
     ph = ph or derive_ph_invariants(model)
     if eps is not None and not ph.torsion.is_zero():
@@ -678,6 +833,7 @@ def solve(
 
     coulomb_weight = math.sqrt(backend.volume / backend.n_points)
     forms = _forms(state, ph, opts.constraint)
+    lin = _Linearisation(forms, backend)
 
     def res(x):
         return _stack_residual(to_state(x), ph, opts.constraint, forms)
@@ -706,28 +862,18 @@ def solve(
             break
         if grid:
             st = to_state(x)
-            jac = _grid_jacobian(st, ph, opts.constraint, forms)
             rhs = -np.concatenate([r, coulomb_weight * _grid_divergence(st.a)])
             fnorm = float(np.linalg.norm(rhs))
             if prev is not None:
                 eta = _forcing_term(eta, fnorm, *prev, loop_tol)
-            if step_scale is not None:
-                jac.data *= step_scale[jac.indices]
-            import scipy.sparse.linalg as spla
-
-            result = spla.lsqr(
-                jac,
-                rhs,
-                damp=LSQR_DAMP,
-                atol=LSQR_ATOL,
-                btol=eta,
-                iter_lim=LSQR_ITER_LIM,
-            )
+            jac = _grid_jacobian(st, ph, opts.constraint, lin)
+            result = _lsqr_step(jac, lin, rhs, eta, step_scale)
+            del jac  # freed before the next step builds its own
             p = result[0] if step_scale is None else step_scale * result[0]
             prev = (fnorm, float(result[3]))
             lsqr_steps.append((int(result[1]), int(result[2])))
         else:
-            jac = _invariant_jacobian(to_state(x), ph, opts.constraint, forms)
+            jac = _invariant_jacobian(to_state(x), ph, opts.constraint, lin)
             p, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         step = 1.0
         accepted = False

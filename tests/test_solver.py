@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -518,6 +522,36 @@ def test_grid_contact_solve_seed0_converges(monkeypatch, n):
     assert all(istop != 7 for istop, _ in stops)
 
 
+SEED5_SOLVE = """
+import json
+from contactmono.algebra import catalog_model
+from contactmono.fields import HeisGridBackend
+from contactmono.solver import SolveOpts, random_monopole_state, solve
+
+m = catalog_model("heisenberg")
+init = random_monopole_state(m, HeisGridBackend(m, 16), seed=5)
+_, info = solve(m, None, init, SolveOpts(seed=5))
+print(json.dumps([info.converged, info.stop_reason, info.lsqr_steps, info.lsqr_capped]))
+"""
+
+
+@pytest.mark.slow
+def test_grid_contact_solve_seed5_capped_steps():
+    # the longest lsqr path known, N=16 contact from seed 5: its last two
+    # steps stop at LSQR_ITER_LIM.  BLAS threads split lsqr's dot products and
+    # move its roundoff (with two threads it takes 10 steps, 3 capped), so it
+    # runs on one thread, as the benchmark does.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, "-c", SEED5_SOLVE], env=env, capture_output=True, text=True, check=True
+    )
+    converged, stop_reason, steps, capped = json.loads(out.stdout)
+    assert converged and stop_reason == "converged"
+    assert steps == [[1, 2], [1, 6], [1, 30], [1, 59], [1, 58], [1, 77], [7, 3000], [7, 3000]]
+    assert capped == 2
+
+
 @pytest.mark.parametrize("eps", [None, 0.5])
 def test_grid_jacobian_matches_directional_difference(eps):
     # the residual is quadratic, so central differences are exact up to roundoff
@@ -679,6 +713,101 @@ def test_jacobians_evaluate_no_residual(monkeypatch):
     for jacobian, ph, s in cases:
         for constraint in (False, True):
             assert jacobian(s, ph, constraint).shape[1] == 7 * s.backend.n_points
+
+
+# --- the compiled linearisation ---------------------------------------------------
+
+
+def fresh_jacobian(s, forms):
+    """The Jacobian assembled from _Form.rows at s, term by term (the reference)."""
+    u = solver_mod._slots(s)
+    blocks = [f.rows(f.diagonal(u)) for f in forms]
+    grid = s.backend.kind == "heis-grid"
+    if grid:
+        blocks.append(solver_mod._coulomb_form(s.backend).rows({}))
+    coo, _ = solver_mod._assemble(blocks, s.backend)
+    return coo.tocsr() if grid else coo.toarray()
+
+
+def jacobian_bytes(jac):
+    if isinstance(jac, np.ndarray):
+        return jac.tobytes()
+    return b"|".join(v.tobytes() for v in (jac.indptr, jac.indices, jac.data))
+
+
+# the linearisation cases of scripts/report_digest.py: contact, and eps 1/4
+# and 1/2 where the torsion vanishes
+LINEARISATION_CASES = [
+    (HEIS, "grid", eps) for eps in (None, 0.5, 0.25)
+] + [
+    (m, "invariant", eps)
+    for m in (HEIS, S3, TORSION, OMEGA_MODEL)
+    for eps in ((None, 0.25, 0.5) if m is not TORSION else (None,))
+]
+
+
+@pytest.mark.parametrize("constraint", [False, True])
+@pytest.mark.parametrize(
+    "model, kind, eps",
+    LINEARISATION_CASES,
+    ids=[f"{m.name}-{k}-{e}" for m, k, e in LINEARISATION_CASES],
+)
+def test_compiled_linearisation_matches_fresh_assembly(model, kind, eps, constraint):
+    # one compiled structure serves successive states; solve scales each
+    # result's columns in place, which must not reach the next result
+    ph = derive_ph_invariants(model)
+    b = HeisGridBackend(model, 8) if kind == "grid" else InvariantBackend(model)
+    states = [random_monopole_state(model, b, seed=seed, eps=eps) for seed in range(3)]
+    forms = solver_mod._forms(states[0], ph, constraint)
+    lin = solver_mod._Linearisation(forms, b)
+    scale = np.random.default_rng(1).uniform(0.5, 2.0, size=7 * b.n_points)
+    for s in states:
+        jac = lin.jacobian(s)
+        want = fresh_jacobian(s, forms)
+        assert jacobian_bytes(jac) == jacobian_bytes(want)
+        if kind == "grid":
+            jac.data *= scale[jac.indices]
+            assert jacobian_bytes(lin.transpose(jac)) == jacobian_bytes(jac.T.tocsr())
+        else:
+            jac *= scale
+
+
+@pytest.mark.parametrize("eps", [None, 0.5])
+def test_lsqr_step_matches_lsqr_on_the_matrix(eps):
+    # the CSR transpose gives lsqr the same products as scipy's CSC kernel
+    b = HeisGridBackend(HEIS, 8)
+    s = random_monopole_state(HEIS, b, seed=3, eps=eps)
+    lin = solver_mod._Linearisation(solver_mod._forms(s, PH_HEIS, False), b)
+    rhs = np.random.default_rng(2).normal(size=lin.jacobian(s).shape[0])
+    scale = np.full(7 * b.n_points, 0.5)
+    jac = lin.jacobian(s)
+    jac.data *= scale[jac.indices]
+    want = spla.lsqr(jac, rhs, damp=1e-12, atol=1e-14, btol=1e-6, iter_lim=3000)
+    got = solver_mod._lsqr_step(lin.jacobian(s), lin, rhs, 1e-6, scale)
+    assert got[1:4] == want[1:4] and got[2] > 10
+    assert got[0].tobytes() == want[0].tobytes()
+
+
+@pytest.mark.parametrize("grid", [False, True])
+def test_solve_assembles_linear_part_once(monkeypatch, grid):
+    calls = []
+    assemble = solver_mod._assemble
+
+    def counting(*args):
+        calls.append(1)
+        return assemble(*args)
+
+    monkeypatch.setattr(solver_mod, "_assemble", counting)
+    if grid:
+        init = random_monopole_state(HEIS, HeisGridBackend(HEIS, 8), seed=0, eps=0.5)
+        _, info = solve(HEIS, 0.5, init, SolveOpts(seed=0), ph=PH_HEIS)
+        steps = len(info.lsqr_steps)
+    else:
+        init = random_monopole_state(S3, InvariantBackend(S3), seed=1)
+        _, info = solve(S3, None, init, SolveOpts(constraint=True), ph=PH_S3)
+        steps = info.iterations - 1  # a converged stop reads one more
+    assert info.converged and steps >= 3
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("grid", [False, True])
