@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
 """One sha256 per report `result` for a fixed set of CLI commands.
 
-Runs 25 `contactmono` commands (a derive, a curvature, four checks,
+Runs 26 `contactmono` commands (a derive, a curvature, four checks,
 invariant solves on the three catalog models with and without the Reeb
 constraint, two eps solves, a multi-seed solve, two sweeps, the two N=8
-heis-grid solves, and a derive, a curvature and a check on each of two
-gen(p, q) models with fractional p and q) and prints, per command, the sha256 of its `result`
-object serialized as the report serializes it, then the exit code and the
-command.  Each sweep's CSV table is hashed too, as `csv_sha256`.  Each grid
-solve is repeated in-process from the state the CLI starts from
-(`random_monopole_state` and `solve` with seed 0), and its final fields in
+heis-grid solves, a 3-seed N=8 heis-grid solve, and a derive, a curvature
+and a check on each of two gen(p, q) models with fractional p and q) and
+prints, per command, the sha256 of its `result` object serialized as the
+report serializes it, then the exit code and the command.  Each sweep's
+CSV table is hashed too, as `csv_sha256`.  Each grid solve is repeated
+in-process the way the CLI runs it (`random_monopole_state` and `solve` per
+seed, all seeds on one backend), and the final fields of each seed in
 sorted-name order (a0, a1re, a2re, alpha, beta1bar), as little-endian
 complex128, are hashed as `state_sha256`, so the grid states are compared
-bit for bit.
+bit for bit.  The multi-seed solves check that a batch's solves, which
+share their backend's equation system, give the bytes of solves alone.
 
 After the commands come the bytes of the solver's linearisation and
 residual at fixed random states: `jacobian_sha256` hashes the `indptr`,
@@ -85,6 +87,7 @@ COMMANDS = [
     ["sweep", "--model", "round-s3", "--eps-list", LADDER_S3],
     ["solve", "--model", "heisenberg", *GRID],
     ["solve", "--model", "heisenberg", *GRID, "--eps", "1/2"],
+    ["solve", "--model", "heisenberg", *GRID, "--seeds", "3"],
     *[
         cmd
         for model in GEN_FRACTIONAL
@@ -102,25 +105,29 @@ def sha256(data: bytes) -> str:
 
 
 def grid_state_sha256(config) -> str:
-    """sha256 of the final state of the grid solve of a report's config.
+    """sha256 of the final states of the grid solves of a report's config.
 
-    The solve is run in-process the way the CLI runs it, from a catalog model.
+    The solves are run in-process the way the CLI runs them, from a catalog
+    model, one per seed on one backend.
     """
     cfg = parse_config(config)
     m = catalog_model(cfg.model)
     eps = float(cfg.eps) if cfg.eps is not None else None
     backend = HeisGridBackend(m, cfg.N)
-    init = solver.random_monopole_state(m, backend, seed=cfg.seed, eps=eps)
-    opts = solver.SolveOpts(seed=cfg.seed, constraint=cfg.constraint)
-    state, _ = solver.solve(m, eps, init, opts)
-    named = {
-        "a0": state.a.a0,
-        "a1re": state.a.a1re,
-        "a2re": state.a.a2re,
-        "alpha": state.phi.alpha,
-        "beta1bar": state.phi.beta1bar,
-    }
-    return sha256(b"".join(np.asarray(v, dtype="<c16").tobytes() for v in named.values()))
+    data = []
+    for seed in range(cfg.seed, cfg.seed + cfg.seeds):
+        init = solver.random_monopole_state(m, backend, seed=seed, eps=eps)
+        opts = solver.SolveOpts(seed=seed, constraint=cfg.constraint)
+        state, _ = solver.solve(m, eps, init, opts)
+        named = {
+            "a0": state.a.a0,
+            "a1re": state.a.a1re,
+            "a2re": state.a.a2re,
+            "alpha": state.phi.alpha,
+            "beta1bar": state.phi.beta1bar,
+        }
+        data += [np.asarray(v, dtype="<c16").tobytes() for v in named.values()]
+    return sha256(b"".join(data))
 
 
 def digest(argv, save=None):

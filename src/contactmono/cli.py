@@ -111,7 +111,9 @@ class RunConfig:
 def parse_config(doc: Mapping) -> RunConfig:
     """Validate a config mapping; unknown fields are rejected.
 
-    "threads" is accepted as 1 only: solves run on one thread.
+    "threads" is accepted as 1 only, and sets nothing: BLAS threads follow
+    the environment, and OPENBLAS_NUM_THREADS=1 gives grid reports that do
+    not depend on the host (README).
     """
     keys = fields(RunConfig)
     extra = set(doc) - {key.name for key in keys} - {"threads"}

@@ -97,6 +97,14 @@ class Backend:
     def d_e2(self, arr):
         return self.apply(2, arr)
 
+    @cached_property
+    def systems(self) -> dict:
+        """The solver's equation systems on this backend, by (ph, eps, constraint).
+
+        solver._system fills it at the first use of a key, never at set-up.
+        """
+        return {}
+
     def zero(self):
         return np.zeros(self.shape, dtype=complex)[()]
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Tuple
 
 from .algebra import (
@@ -56,6 +57,15 @@ class PhInvariants:
         object.__setattr__(self, "_omega_float", omega)
         object.__setattr__(self, "_webster_float", float(self.tw_curv.to_complex().real))
         object.__setattr__(self, "_domega_float", domega)
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash of the compared fields, computed once: the solver keys its
+        equation systems by the invariants (fields.Backend.systems)."""
+        return hash((self.omega, self.torsion, self.tw_curv, self.domega))
 
     @property
     def a11(self) -> ExactComplex:

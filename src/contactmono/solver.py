@@ -21,13 +21,15 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-# scipy.sparse is imported where a float solve first needs it, so that the
-# exact commands (derive, curvature, check) never load it: it is about half
-# the memory and start-up time of a process that imports contactmono
+# scipy.sparse is imported where a grid solve first needs it, so that the
+# exact commands (derive, curvature, check) and the invariant sector never
+# load it: it is about half the memory and start-up time of a process that
+# imports contactmono
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
@@ -80,7 +82,8 @@ def _residual_report(s: MonopoleState, ph: PhInvariants) -> ResidualReport:
     """L^2 norms of the blocks of _residual_fields, Reeb constraint included.
 
     The first two fields are the Dirac rows and the last two the constraint;
-    the curvature rows lie between them.
+    the curvature rows lie between them.  The forms are the backend's
+    (_system), so a batch of reports builds them once.
     """
     sq = [
         scalar_l2_norm_sq(s.backend, vals)
@@ -312,9 +315,9 @@ def _slots(s: MonopoleState):
 def _forms(s: MonopoleState, ph: PhInvariants, constraint: bool) -> List[_Form]:
     """The equation fields of s's system, in the order of the stacked residual.
 
-    They do not depend on the state, so a solve builds them once.  The beta
-    slot carries i*omega(T) and i*omega(Z1), and da_jk sum_i a_i c^i_jk, so
-    they hold for every model.
+    They do not depend on the state, so a backend keeps them (_system).  The
+    beta slot carries i*omega(T) and i*omega(Z1), and da_jk sum_i a_i c^i_jk,
+    so they hold for every model.
     """
     dz, de1, de2, z1, z1b = s.backend.stencils
     w_t, w_z1 = _connection_weight(ph, DIR_T), _connection_weight(ph, DIR_Z1)
@@ -388,26 +391,50 @@ def _forms(s: MonopoleState, ph: PhInvariants, constraint: bool) -> List[_Form]:
     return forms
 
 
-def _residual_fields(s: MonopoleState, ph: PhInvariants, constraint: bool, forms=None):
+def _system(s: MonopoleState, ph: PhInvariants, constraint: bool) -> _Linearisation:
+    """The equation system of s's backend for (ph, s.eps, constraint).
+
+    Its forms are built at the first use of the key and kept in
+    Backend.systems, and their linearisation compiles at its first Jacobian.
+    The key holds everything the forms read but the model, which must be
+    the backend's (compared by value).
+    """
+    b = s.backend
+    # by value: equal models may be distinct objects
+    if s.model is not b.model and s.model.c != b.model.c:
+        raise WrongModel(f"{b!r} was built for another model")
+    key = (ph, s.eps, constraint)
+    lin = b.systems.get(key)
+    if lin is None:
+        lin = b.systems[key] = _Linearisation(_forms(s, ph, constraint))
+    return lin
+
+
+def _residual_fields(s: MonopoleState, ph: PhInvariants, constraint: bool):
     """List of (complex_or_real, values) equation fields defining the target."""
     u = _slots(s)
-    forms = forms or _forms(s, ph, constraint)
+    forms = _system(s, ph, constraint).forms
     return [(f.kind, np.reshape(f.value(u), s.backend.shape)) for f in forms]
 
 
 def _stack_residual(
     s: MonopoleState, ph: PhInvariants, constraint: bool, forms=None
 ) -> np.ndarray:
+    """The weighted real residual: Re and Im of each complex field, then the
+    real ones, in the order of the forms (the backend's unless given).
+
+    At one point each form's value is a scalar, stacked as it is.
+    """
+    u = _slots(s)
     weight = math.sqrt(s.backend.volume / s.backend.n_points)
     rows = []
-    for kind, vals in _residual_fields(s, ph, constraint, forms):
-        arr = np.asarray(vals)
-        if kind == "c":
-            rows.append(arr.real.ravel() * weight)
-            rows.append(arr.imag.ravel() * weight)
+    for f in forms or _system(s, ph, constraint).forms:
+        v = f.value(u)
+        if f.kind == "c":
+            rows += (v.real * weight, v.imag * weight)
         else:
-            rows.append(np.real(arr).ravel() * weight)
-    return np.concatenate([np.atleast_1d(r) for r in rows])
+            rows.append(np.real(v) * weight)
+    return np.array(rows) if s.backend.kind == "invariant" else np.concatenate(rows)
 
 
 class _Diag(NamedTuple):
@@ -441,7 +468,8 @@ def _re_im(v):
 
 
 def _assemble(blocks, backend):
-    """The real matrix of the row blocks times the residual weight, as COO,
+    """The real matrix of the row blocks times the residual weight: its COO
+    triplets in the (data, (row, col)) form of scipy's coo_matrix, its shape
     and the list of its placeholder entries.
 
     Realify: a complex row block is a block of real parts followed by one of
@@ -492,9 +520,7 @@ def _assemble(blocks, backend):
             coef = -0.0
         vals[part] = coef
     vals *= math.sqrt(backend.volume / n3)
-    import scipy.sparse as sp
-
-    return sp.coo_matrix((vals, (rows, cols)), shape=(row * n3, 7 * n3)), marks
+    return (vals, (rows, cols)), (row * n3, 7 * n3), marks
 
 
 def _coulomb_form(backend) -> _Form:
@@ -503,7 +529,8 @@ def _coulomb_form(backend) -> _Form:
 
 
 class _Linearisation:
-    """The Jacobian of a list of forms, compiled once and evaluated per state.
+    """An equation system: its forms, and their Jacobian, compiled once and
+    evaluated per state.
 
     The forms' linear part does not depend on the state, and their quadratic
     part only adds _Form.diagonal(u) on the diagonal.  The first jacobian call
@@ -513,18 +540,23 @@ class _Linearisation:
     are kept.  Each call then evaluates the diagonals and adds them, scaled
     and signed, at those positions to a copy of the data.
 
+    A backend keeps one system per key (_system) but at most one compiled
+    Jacobian: a compile first releases the compiled arrays of every system
+    in Backend.systems, so memory does not grow with the eps values or
+    seeds solved on one backend.  The linearisation reads its backend from
+    the state, so the backend's systems hold no reference back to it.
+
     A fresh assembly at u sums each entry's terms in its own order; here the
     diagonals come last.  Both agree bit for bit when no entry sums more than
     two nonzero terms, as in every system of _forms.
     """
 
-    def __init__(self, forms: Sequence[_Form], backend):
+    def __init__(self, forms: Sequence[_Form]):
         self.forms = forms
-        self.backend = backend
-        self._data = None
+        self._compiled = None
 
-    def _compile(self):
-        b = self.backend
+    def _compile(self, b) -> SimpleNamespace:
+        comp = SimpleNamespace()
         n3 = b.n_points
         grid = b.kind == "heis-grid"
         probe = [np.zeros(1, complex)] * 4 + [np.zeros(1)] * 3  # slot types
@@ -537,8 +569,8 @@ class _Linearisation:
             blocks.append(f.rows(diag))
         if grid:
             blocks.append(_coulomb_form(b).rows({}))
-        coo, marks = _assemble(blocks, b)
-        n_rows, n_cols = self._shape = coo.shape
+        triplets, shape, marks = _assemble(blocks, b)
+        n_rows, n_cols = comp.shape = shape
         # a mark (r, c, _) has the entries (r n3 + i, c n3 + i), and an entry
         # (row, col) the key row * n_cols + col
         keys = np.array([(r * n_cols + c) * n3 for r, c, _ in marks])[:, None]
@@ -546,20 +578,25 @@ class _Linearisation:
         if grid:
             import scipy.sparse as sp
 
-            jac = coo.tocsr()
-            del coo
+            jac = sp.coo_matrix(triplets, shape=shape).tocsr()
+            del triplets
             nnz_keys = np.repeat(np.arange(n_rows) * n_cols, np.diff(jac.indptr))
             nnz_keys += jac.indices
             keys = np.searchsorted(nnz_keys, keys)
             del nnz_keys
-            self._data, self._indices, self._indptr = jac.data, jac.indices, jac.indptr
+            comp.data, comp.indices, comp.indptr = jac.data, jac.indices, jac.indptr
             # J^T in CSR: the CSC arrays of J, with each entry's index in J's data
             order = sp.csr_matrix(
                 (np.arange(jac.nnz, dtype=np.int32), jac.indices, jac.indptr), shape=jac.shape
             ).tocsc()
-            self._perm, self._t_indices, self._t_indptr = order.data, order.indices, order.indptr
+            comp.perm, comp.t_indices, comp.t_indptr = order.data, order.indices, order.indptr
         else:
-            self._data = coo.toarray().ravel()
+            # the sums of coo_matrix.toarray, in entry order, without
+            # loading scipy.sparse for the invariant sector
+            vals, entry = triplets
+            dense = np.zeros(shape)
+            np.add.at(dense, entry, vals)
+            comp.data = dense.ravel()
         # marks that share entries go to successive layers, so that the
         # entries within a layer are distinct
         seen = Counter()
@@ -569,39 +606,44 @@ class _Linearisation:
             seen[r, c] += 1
         order = np.argsort(layer, kind="stable")
         bounds = np.cumsum([0, *np.bincount(layer)])
-        self._layers = [slice(a, z) for a, z in zip(bounds[:-1], bounds[1:])]
-        self._pos = keys[order].astype(np.int32)
+        comp.layers = [slice(a, z) for a, z in zip(bounds[:-1], bounds[1:])]
+        comp.pos = keys[order].astype(np.int32)
         ordered = [marks[i][2] for i in order]
-        self._diag = np.array([m.k for m in ordered])
-        self._imag = np.array([m.imag for m in ordered])
+        comp.diag = np.array([m.k for m in ordered])
+        comp.imag = np.array([m.imag for m in ordered])
         weight = math.sqrt(b.volume / n3)
-        self._scale = np.array([[m.sign * weight] for m in ordered])
+        comp.scale = np.array([[m.sign * weight] for m in ordered])
+        return comp
 
     def jacobian(self, s: MonopoleState):
         """The Jacobian at s: CSR with the Coulomb rows on the grid, dense at
         one point.  Its data is a fresh array, and the caller may scale it."""
-        if self._data is None:
-            self._compile()
+        comp = self._compiled
+        if comp is None:
+            for other in s.backend.systems.values():
+                other._compiled = None
+            comp = self._compiled = self._compile(s.backend)
         u = _slots(s)
         d = np.array([v for f in self.forms for v in f.diagonal(u).values()], dtype=complex)
         d = d.reshape(len(d), -1)
-        vals = np.stack((d.real, d.imag))[self._imag, self._diag]
-        vals *= self._scale
-        data = self._data.copy()
-        for layer in self._layers:
-            data[self._pos[layer]] += vals[layer]
-        if self.backend.kind != "heis-grid":
-            return data.reshape(self._shape)
+        vals = np.stack((d.real, d.imag))[comp.imag, comp.diag]
+        vals *= comp.scale
+        data = comp.data.copy()
+        for layer in comp.layers:
+            data[comp.pos[layer]] += vals[layer]
+        if s.backend.kind != "heis-grid":
+            return data.reshape(comp.shape)
         import scipy.sparse as sp
 
-        return sp.csr_matrix((data, self._indices, self._indptr), shape=self._shape)
+        return sp.csr_matrix((data, comp.indices, comp.indptr), shape=comp.shape)
 
     def transpose(self, jac):
         """The transpose of a grid jacobian() (scaled or not) as CSR."""
         import scipy.sparse as sp
 
+        comp = self._compiled
         return sp.csr_matrix(
-            (jac.data[self._perm], self._t_indices, self._t_indptr), shape=jac.shape[::-1]
+            (jac.data[comp.perm], comp.t_indices, comp.t_indptr), shape=jac.shape[::-1]
         )
 
 
@@ -612,10 +654,10 @@ def _grid_jacobian(
 
     The last N^3 rows are the rows of _coulomb_form with the residual weight;
     solve pairs them with -div(a), which fixes the gauge directions of the
-    step.  lin is the solve's _Linearisation; without it one is compiled
-    for this call.
+    step.  lin is the solve's _Linearisation; without it the backend's
+    system (_system) is used.
     """
-    return (lin or _Linearisation(_forms(s, ph, constraint), s.backend)).jacobian(s)
+    return (lin or _system(s, ph, constraint)).jacobian(s)
 
 
 def _invariant_jacobian(
@@ -623,10 +665,10 @@ def _invariant_jacobian(
 ) -> np.ndarray:
     """Dense 7-column Jacobian of the stacked residual: the rows at one point.
 
-    lin is the solve's _Linearisation; without it one is compiled for this
-    call.
+    lin is the solve's _Linearisation; without it the backend's system
+    (_system) is used.
     """
-    return (lin or _Linearisation(_forms(s, ph, constraint), s.backend)).jacobian(s)
+    return (lin or _system(s, ph, constraint)).jacobian(s)
 
 
 # --- gauge fixing ---------------------------------------------------------------
@@ -762,7 +804,7 @@ class SolveOpts:
 @dataclass
 class SolveInfo:
     converged: bool
-    iterations: int
+    iterations: int  # the loop index: steps + 1 on a converged stop
     report: ResidualReport
     seed: int
     # converged: the cost reached the loop tolerance; line-search-stalled: no
@@ -771,6 +813,8 @@ class SolveInfo:
     # (istop, iterations) of the lsqr call of each grid step; empty for the
     # invariant sector, whose steps are dense least squares
     lsqr_steps: List[Tuple[int, int]] = field(default_factory=list)
+    # accepted Gauss-Newton steps; reports do not carry it
+    steps: int = 0
 
     @property
     def lsqr_capped(self) -> int:
@@ -816,24 +860,25 @@ def solve(
 
     Invariant sector: exact least-squares steps.  Grid: inexact steps by
     lsqr on the Jacobian with the Coulomb rows appended (see _forcing_term
-    and HORIZONTAL_GAUGE_SCALE).  The forms are built and their Jacobian is
-    compiled once per solve (_Linearisation); a step only evaluates it.
+    and HORIZONTAL_GAUGE_SCALE).  The equation system is the backend's
+    (_system), so the solves of a batch share it: its forms are built at the
+    first use of (ph, eps, constraint) on the backend, and its Jacobian
+    compiles only when another system was compiled on the backend since.  A
+    step only evaluates the Jacobian.
     """
     ph = ph or derive_ph_invariants(model)
     if eps is not None and not ph.torsion.is_zero():
         raise TorsionError("eps-family system requires zero torsion")
     backend = init.backend
-    if backend.model.c != model.c:  # by value: equal models may be distinct objects
-        raise WrongModel(f"{backend!r} was built for another model")
     state = MonopoleState(a=init.a, phi=init.phi, model=model, eps=eps)
+    lin = _system(state, ph, opts.constraint)  # raises WrongModel for another model
+    forms = lin.forms
     grid = backend.kind == "heis-grid"
 
     def to_state(x):
         return _unpack(x, model, backend, eps)
 
     coulomb_weight = math.sqrt(backend.volume / backend.n_points)
-    forms = _forms(state, ph, opts.constraint)
-    lin = _Linearisation(forms, backend)
 
     def res(x):
         return _stack_residual(to_state(x), ph, opts.constraint, forms)
@@ -857,6 +902,7 @@ def solve(
     eta, prev = ETA_START, None  # prev: (|F|, |F + J p|) of the last grid step
     stalled = False
     lsqr_steps = []
+    steps = 0
     for iterations in range(1, opts.max_iter + 1):
         if math.sqrt(cost) <= loop_tol:
             break
@@ -894,6 +940,7 @@ def solve(
         if not accepted:
             stalled = True
             break
+        steps += 1
     final = to_state(x)
     rep = (
         residual_contact(final, ph) if eps is None else residual_sw(final, ph)
@@ -911,6 +958,7 @@ def solve(
         seed=opts.seed,
         stop_reason=stop_reason,
         lsqr_steps=lsqr_steps,
+        steps=steps,
     )
 
 

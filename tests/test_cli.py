@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -323,3 +326,45 @@ def test_report_independent_of_invocation_path(flags, doc, tmp_path):
     assert results[0] == results[1]
     configs = [dict(r["config"], output=None) for r in reports]
     assert configs[0] == configs[1]
+
+
+LOADED_AFTER = """
+import sys
+from contactmono.cli import main
+for argv in sys.argv[1:]:
+    main(argv.split())
+print(sorted(m for m in ("scipy.sparse", "scipy.sparse.linalg") if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize(
+    "argvs, loaded",
+    [
+        (["check --model round-s3"], []),
+        (
+            [
+                "solve --model round-s3 --seeds 2 --reeb-constraint",
+                "sweep --model heisenberg --eps-list 1/2,1/4",
+            ],
+            [],
+        ),
+        (
+            ["solve --model heisenberg --backend heis-grid --N 8"],
+            ["scipy.sparse", "scipy.sparse.linalg"],
+        ),
+    ],
+    ids=["exact", "invariant", "grid"],
+)
+def test_scipy_sparse_loads_for_grid_solves_only(argvs, loaded, tmp_path):
+    # scipy.sparse is about half the memory of a process that imports
+    # contactmono; the exact commands and the invariant sector never need it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    argvs = [f"{argv} --output {tmp_path / 'r.json'}" for argv in argvs]
+    out = subprocess.run(
+        [sys.executable, "-c", LOADED_AFTER, *argvs],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.splitlines()[-1] == repr(loaded)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.linalg as spla
 
 from contactmono import algebra, pseudohermitian
@@ -30,6 +31,8 @@ from contactmono.fields import (
     dirac_eps,
     dirac_xi,
     gauge_curvature_components,
+    gauge_transform,
+    scalar_l2_norm_sq,
 )
 from contactmono.exact import ExactComplex
 from contactmono.pseudohermitian import derive_ph_invariants
@@ -410,6 +413,40 @@ def test_gauge_covariance_grid_residuals_second_order():
     assert diffs[0] / diffs[1] > 3.0
 
 
+@pytest.mark.parametrize("eps", [None, 0.25])
+def test_grid_residual_gauge_invariant_to_second_order(eps):
+    # Phi -> e^{i chi} Phi, a -> a - d chi multiplies the Dirac and Reeb fields
+    # by e^{i chi} and keeps the curvature fields (F01 + i F02 - conj(alpha) beta
+    # included).  On the grid that holds to O(h^2) for smooth chi, so the
+    # defect falls by (16/8)^2 and then by (24/16)^2; the O(h^4) term still
+    # lowers the first ratio to about 3.5.  Phi and chi carry theta_state
+    # z-modes, which cross the twisted seam.
+    defects = []
+    for n in (8, 16, 24):
+        b = HeisGridBackend(HEIS, n)
+        rng = np.random.default_rng(17)
+        phi = trig_spinor(b, rng, kmax=1)
+        phi = SpinorField(
+            phi.alpha + 0.5 * theta_state(b, 1), phi.beta1bar + 0.3 * theta_state(b, -1), b
+        )
+        a = constant_gauge(b, rng)
+        x, y, _ = b.coords()
+        chi = 0.4 * np.sin(2 * np.pi * x) + 0.2 * np.cos(2 * np.pi * y)
+        chi = chi + 0.3 * np.real(theta_state(b, 1))
+        a2, phi2 = gauge_transform(a, phi, chi)
+        before = solver_mod._residual_fields(MonopoleState(a, phi, HEIS, eps), PH_HEIS, True)
+        after = solver_mod._residual_fields(MonopoleState(a2, phi2, HEIS, eps), PH_HEIS, True)
+        sq = 0.0
+        for k, ((kind, v), (_, w)) in enumerate(zip(before, after)):
+            covariant = kind == "c" and not (eps is not None and k == 3)
+            sq += scalar_l2_norm_sq(b, w - (np.exp(1j * chi) * v if covariant else v))
+        defects.append(math.sqrt(sq))
+    assert 3.3 <= defects[0] / defects[1] <= 4.4
+    assert 2.0 <= defects[1] / defects[2] <= 2.5
+    orders = [math.log(defects[0] / defects[1], 2), math.log(defects[1] / defects[2], 1.5)]
+    assert orders[0] < orders[1] and abs(orders[1] - 2) <= 0.1
+
+
 def test_grid_matches_invariant_on_constant_states():
     # a constant state evaluated on the grid must reproduce the invariant
     # backend's residuals and energies (volume weights, curvature components)
@@ -725,7 +762,8 @@ def fresh_jacobian(s, forms):
     grid = s.backend.kind == "heis-grid"
     if grid:
         blocks.append(solver_mod._coulomb_form(s.backend).rows({}))
-    coo, _ = solver_mod._assemble(blocks, s.backend)
+    triplets, shape, _ = solver_mod._assemble(blocks, s.backend)
+    coo = scipy.sparse.coo_matrix(triplets, shape=shape)
     return coo.tocsr() if grid else coo.toarray()
 
 
@@ -759,7 +797,7 @@ def test_compiled_linearisation_matches_fresh_assembly(model, kind, eps, constra
     b = HeisGridBackend(model, 8) if kind == "grid" else InvariantBackend(model)
     states = [random_monopole_state(model, b, seed=seed, eps=eps) for seed in range(3)]
     forms = solver_mod._forms(states[0], ph, constraint)
-    lin = solver_mod._Linearisation(forms, b)
+    lin = solver_mod._Linearisation(forms)
     scale = np.random.default_rng(1).uniform(0.5, 2.0, size=7 * b.n_points)
     for s in states:
         jac = lin.jacobian(s)
@@ -777,7 +815,7 @@ def test_lsqr_step_matches_lsqr_on_the_matrix(eps):
     # the CSR transpose gives lsqr the same products as scipy's CSC kernel
     b = HeisGridBackend(HEIS, 8)
     s = random_monopole_state(HEIS, b, seed=3, eps=eps)
-    lin = solver_mod._Linearisation(solver_mod._forms(s, PH_HEIS, False), b)
+    lin = solver_mod._Linearisation(solver_mod._forms(s, PH_HEIS, False))
     rhs = np.random.default_rng(2).normal(size=lin.jacobian(s).shape[0])
     scale = np.full(7 * b.n_points, 0.5)
     jac = lin.jacobian(s)
@@ -808,6 +846,92 @@ def test_solve_assembles_linear_part_once(monkeypatch, grid):
         steps = info.iterations - 1  # a converged stop reads one more
     assert info.converged and steps >= 3
     assert len(calls) == 1
+
+
+# --- the backend's equation systems -------------------------------------------------
+
+
+def _count_assemble(monkeypatch):
+    calls = []
+    assemble = solver_mod._assemble
+
+    def counting(*args):
+        calls.append(1)
+        return assemble(*args)
+
+    monkeypatch.setattr(solver_mod, "_assemble", counting)
+    return calls
+
+
+def _cli_runs(doc):
+    from contactmono.cli import parse_config, run
+
+    code, report = run(parse_config(dict(doc, output=os.devnull)))
+    return [json.dumps(r, sort_keys=True) for r in report["result"]["runs"]]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"model": "round-s3", "seeds": 4, "seed": 3, "constraint": True},
+        {"model": "heisenberg", "backend": "heis-grid", "N": 8, "seeds": 2},
+    ],
+    ids=["round-s3", "grid8"],
+)
+def test_batch_shares_one_system_and_keeps_the_bytes(monkeypatch, doc):
+    # the solves of a batch share their backend's system, compiled once, and
+    # each gives the report of the same seed solved alone on a fresh backend
+    doc = dict(doc, command="solve")
+    calls = _count_assemble(monkeypatch)
+    batch = _cli_runs(doc)
+    assert len(calls) == 1 and len(batch) == doc["seeds"]
+    seeds = range(doc.get("seed", 0), doc.get("seed", 0) + doc["seeds"])
+    alone = [_cli_runs(dict(doc, seed=seed, seeds=1))[0] for seed in seeds]
+    assert batch == alone
+    assert all('"steps"' not in run for run in batch)  # SolveInfo.steps stays out
+
+
+def test_backend_builds_one_system_per_key(monkeypatch):
+    # eps and the Reeb rows are part of the key: eps 1/4, then 1/2, then 1/2
+    # with the Reeb rows compile three systems (the reports read the
+    # constrained forms without compiling them), and each solve gives the
+    # bytes of the same solve on a fresh backend
+    cases = [(0.25, False), (0.5, False), (0.5, True)]
+    b = InvariantBackend(HEIS)
+    calls = _count_assemble(monkeypatch)
+    shared = []
+    for eps, constraint in cases:
+        init = random_monopole_state(HEIS, b, seed=2, eps=eps)
+        shared.append(solve(HEIS, eps, init, SolveOpts(constraint=constraint), ph=PH_HEIS))
+    assert len(calls) == 3
+    assert set(b.systems) == {(PH_HEIS, e, c) for e in (0.25, 0.5) for c in (False, True)}
+    for (eps, constraint), (state, info) in zip(cases, shared):
+        init = random_monopole_state(HEIS, InvariantBackend(HEIS), seed=2, eps=eps)
+        fresh, fresh_info = solve(HEIS, eps, init, SolveOpts(constraint=constraint), ph=PH_HEIS)
+        assert solver_mod._pack(state).tobytes() == solver_mod._pack(fresh).tobytes()
+        assert info == fresh_info
+
+
+def test_grid_backend_keeps_one_compiled_linearisation():
+    b = HeisGridBackend(HEIS, 8)
+    for eps in (0.5, None):
+        init = random_monopole_state(HEIS, b, seed=0, eps=eps)
+        solve(HEIS, eps, init, SolveOpts(seed=0, max_iter=2), ph=PH_HEIS)
+    compiled = [lin for lin in b.systems.values() if lin._compiled is not None]
+    assert len(b.systems) == 4
+    assert compiled == [b.systems[PH_HEIS, None, False]]
+
+
+def test_solve_info_counts_accepted_steps():
+    init = random_monopole_state(HEIS, HeisGridBackend(HEIS, 8), seed=0, eps=0.5)
+    _, info = solve(HEIS, 0.5, init, SolveOpts(seed=0), ph=PH_HEIS)
+    assert info.stop_reason == "converged"
+    assert info.steps == len(info.lsqr_steps) == 10 and info.iterations == 11
+    init = random_monopole_state(S3, InvariantBackend(S3), seed=1)
+    _, info = solve(S3, None, init, SolveOpts(constraint=True), ph=PH_S3)
+    assert info.stop_reason == "converged" and info.steps == info.iterations - 1 >= 3
+    _, info = solve(S3, None, init, SolveOpts(max_iter=1), ph=PH_S3)
+    assert info.stop_reason == "max-iter" and info.steps == info.iterations == 1
 
 
 @pytest.mark.parametrize("grid", [False, True])
