@@ -176,13 +176,14 @@ def state_cases():
 def linearisation_digests():
     """(label, kind, sha256) of each hashed Jacobian and residual."""
     for label, s, ph, constraint in state_cases():
+        x, lin = solver._pack(s), solver._system(s, ph, constraint)
         if s.backend.kind == "heis-grid":
-            jac = solver._grid_jacobian(s, ph, constraint)
+            jac = solver._grid_jacobian(x, s.backend, lin)
             data = b"".join(v.tobytes() for v in (jac.indptr, jac.indices, jac.data))
         else:
-            data = solver._invariant_jacobian(s, ph, constraint).tobytes()
+            data = solver._invariant_jacobian(x, s.backend, lin).tobytes()
         yield label, "jacobian_sha256", sha256(data)
-        residual = solver._stack_residual(s, ph, constraint)
+        residual = solver._stack_residual(x, s.backend, lin)
         yield label, "residual_sha256", sha256(residual.tobytes())
 
 

@@ -78,28 +78,30 @@ INPUT_ERROR = 3
 COMMANDS = ("derive", "check", "curvature", "solve", "sweep")
 
 
-def _key(default, read):
-    """A config key whose value parse_config reads with `read`."""
-    return field(default=default, metadata={"read": read})
+def _key(default, read=None, kind=None):
+    """A config key whose value parse_config takes of exactly type `kind`
+    (a bool is no int), and reads with `read`."""
+    return field(default=default, metadata={"read": read, "kind": kind})
 
 
 @dataclass
 class RunConfig:
     """One run.  Each field is a config key of the same name and a flag.
 
-    A key that is absent or null takes the field's default.
+    A key that is absent or null takes the field's default; any other value
+    must have the field's JSON type.
     """
 
     command: str
     model: object = "heisenberg"  # catalog name or structure-constant mapping
     eps: Optional[Fraction] = _key(None, parse_rational)
-    eps_list: Optional[List[Fraction]] = _key(None, lambda v: [parse_rational(e) for e in v])
-    backend: str = "invariant"
-    N: int = _key(16, int)
-    seed: int = _key(0, int)
-    seeds: int = _key(1, int)
-    constraint: bool = _key(False, bool)
-    output: Optional[str] = None
+    eps_list: Optional[List[Fraction]] = _key(None, lambda v: [parse_rational(e) for e in v], list)
+    backend: str = _key("invariant", kind=str)
+    N: int = _key(16, kind=int)
+    seed: int = _key(0, kind=int)
+    seeds: int = _key(1, kind=int)
+    constraint: bool = _key(False, kind=bool)
+    output: Optional[str] = _key(None, kind=str)
 
     def effective(self) -> dict:
         doc = asdict(self)
@@ -119,7 +121,8 @@ def parse_config(doc: Mapping) -> RunConfig:
     extra = set(doc) - {key.name for key in keys} - {"threads"}
     if extra:
         raise ConfigError(f"unknown config fields: {sorted(extra)}")
-    if doc.get("threads", 1) != 1:
+    threads = doc.get("threads", 1)
+    if type(threads) is not int or threads != 1:
         raise ConfigError("threads must be 1")
     if doc.get("command") not in COMMANDS:
         raise ConfigError(f"command must be one of {COMMANDS}, got {doc.get('command')!r}")
@@ -128,8 +131,10 @@ def parse_config(doc: Mapping) -> RunConfig:
         value = doc.get(key.name)
         if value is None:
             continue
-        read = key.metadata.get("read")
+        read, kind = key.metadata.get("read"), key.metadata.get("kind")
         try:
+            if kind is not None and type(value) is not kind:
+                raise TypeError(f"not a {kind.__name__}")
             values[key.name] = read(value) if read else value
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"cannot read {key.name} from {value!r}") from exc
@@ -317,7 +322,7 @@ def _backend(cfg: RunConfig, m: ModelStructure):
 def _solve_one(cfg: RunConfig, m, ph, backend, seed: int) -> dict:
     eps = float(cfg.eps) if cfg.eps is not None else None
     init = random_monopole_state(m, backend, seed=seed, eps=eps)
-    opts = SolveOpts(seed=seed, constraint=cfg.constraint)
+    opts = SolveOpts(constraint=cfg.constraint)
     state, info = solve(m, eps, init, opts, ph=ph)
     out = {
         "seed": seed,

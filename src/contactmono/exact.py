@@ -317,7 +317,9 @@ def rational_str(x) -> str:
 
 
 def parse_rational(s) -> Fraction:
-    """Parse 'p/q' strings (also accepts ints and Fractions)."""
+    """Parse 'p/q' strings (also accepts ints and Fractions, but no bool)."""
+    if isinstance(s, bool):
+        raise ValueError(f"{s!r} is not a rational")
     if isinstance(s, (int, Fraction)):
         return Fraction(s)
     return Fraction(str(s))

@@ -248,7 +248,7 @@ def _pack(s: MonopoleState) -> np.ndarray:
         a.a1re,
         a.a2re,
     )
-    return np.concatenate([np.ravel(np.real(v)) for v in parts])
+    return np.real(np.array(parts)).ravel()
 
 
 def _unpack(x: np.ndarray, model, backend, eps) -> MonopoleState:
@@ -305,11 +305,12 @@ class _Form:
         return (*rows, self.kind)
 
 
-def _slots(s: MonopoleState):
-    """Slot values: flat for the grid's stencils, cheap numpy scalars at one point."""
-    alpha, beta = s.phi.alpha, s.phi.beta1bar
-    u = (alpha, np.conj(alpha), beta, np.conj(beta), s.a.a0, s.a.a1re, s.a.a2re)
-    return u if s.backend.kind == "invariant" else tuple(np.ravel(v) for v in u)
+def _slots(x: np.ndarray, b):
+    """Slot values of the packed vector x on backend b: flat views of x for
+    the grid's stencils, cheap numpy scalars at one point."""
+    p = x if b.kind == "invariant" else x.reshape(7, -1)
+    alpha, beta = p[0] + 1j * p[1], p[2] + 1j * p[3]
+    return alpha, np.conj(alpha), beta, np.conj(beta), p[4], p[5], p[6]
 
 
 def _forms(s: MonopoleState, ph: PhInvariants, constraint: bool) -> List[_Form]:
@@ -412,29 +413,28 @@ def _system(s: MonopoleState, ph: PhInvariants, constraint: bool) -> _Linearisat
 
 def _residual_fields(s: MonopoleState, ph: PhInvariants, constraint: bool):
     """List of (complex_or_real, values) equation fields defining the target."""
-    u = _slots(s)
+    u = _slots(_pack(s), s.backend)
     forms = _system(s, ph, constraint).forms
     return [(f.kind, np.reshape(f.value(u), s.backend.shape)) for f in forms]
 
 
-def _stack_residual(
-    s: MonopoleState, ph: PhInvariants, constraint: bool, forms=None
-) -> np.ndarray:
-    """The weighted real residual: Re and Im of each complex field, then the
-    real ones, in the order of the forms (the backend's unless given).
+def _stack_residual(x: np.ndarray, b, lin: _Linearisation) -> np.ndarray:
+    """The weighted real residual of system lin at the packed vector x on
+    backend b: Re and Im of each complex field, then the real ones, in the
+    order of the forms.
 
     At one point each form's value is a scalar, stacked as it is.
     """
-    u = _slots(s)
-    weight = math.sqrt(s.backend.volume / s.backend.n_points)
+    u = _slots(x, b)
+    weight = math.sqrt(b.volume / b.n_points)
     rows = []
-    for f in forms or _system(s, ph, constraint).forms:
+    for f in lin.forms:
         v = f.value(u)
         if f.kind == "c":
             rows += (v.real * weight, v.imag * weight)
         else:
             rows.append(np.real(v) * weight)
-    return np.array(rows) if s.backend.kind == "invariant" else np.concatenate(rows)
+    return np.array(rows) if b.kind == "invariant" else np.concatenate(rows)
 
 
 class _Diag(NamedTuple):
@@ -543,8 +543,8 @@ class _Linearisation:
     A backend keeps one system per key (_system) but at most one compiled
     Jacobian: a compile first releases the compiled arrays of every system
     in Backend.systems, so memory does not grow with the eps values or
-    seeds solved on one backend.  The linearisation reads its backend from
-    the state, so the backend's systems hold no reference back to it.
+    seeds solved on one backend.  The linearisation is given its backend
+    with each vector, so the backend's systems hold no reference back to it.
 
     A fresh assembly at u sums each entry's terms in its own order; here the
     diagonals come last.  Both agree bit for bit when no entry sums more than
@@ -615,15 +615,16 @@ class _Linearisation:
         comp.scale = np.array([[m.sign * weight] for m in ordered])
         return comp
 
-    def jacobian(self, s: MonopoleState):
-        """The Jacobian at s: CSR with the Coulomb rows on the grid, dense at
-        one point.  Its data is a fresh array, and the caller may scale it."""
+    def jacobian(self, x: np.ndarray, b):
+        """The Jacobian at the packed vector x on backend b: CSR with the
+        Coulomb rows on the grid, dense at one point.  Its data is a fresh
+        array, and the caller may scale it."""
         comp = self._compiled
         if comp is None:
-            for other in s.backend.systems.values():
+            for other in b.systems.values():
                 other._compiled = None
-            comp = self._compiled = self._compile(s.backend)
-        u = _slots(s)
+            comp = self._compiled = self._compile(b)
+        u = _slots(x, b)
         d = np.array([v for f in self.forms for v in f.diagonal(u).values()], dtype=complex)
         d = d.reshape(len(d), -1)
         vals = np.stack((d.real, d.imag))[comp.imag, comp.diag]
@@ -631,7 +632,7 @@ class _Linearisation:
         data = comp.data.copy()
         for layer in comp.layers:
             data[comp.pos[layer]] += vals[layer]
-        if s.backend.kind != "heis-grid":
+        if b.kind != "heis-grid":
             return data.reshape(comp.shape)
         import scipy.sparse as sp
 
@@ -647,28 +648,21 @@ class _Linearisation:
         )
 
 
-def _grid_jacobian(
-    s: MonopoleState, ph: PhInvariants, constraint: bool, lin=None
-) -> sp.csr_matrix:
-    """Jacobian of the stacked real residual, plus the Coulomb rows, as CSR.
+def _grid_jacobian(x: np.ndarray, b, lin: _Linearisation) -> sp.csr_matrix:
+    """Jacobian of the stacked real residual of lin at x, plus the Coulomb
+    rows, as CSR.
 
     The last N^3 rows are the rows of _coulomb_form with the residual weight;
     solve pairs them with -div(a), which fixes the gauge directions of the
-    step.  lin is the solve's _Linearisation; without it the backend's
-    system (_system) is used.
+    step.
     """
-    return (lin or _system(s, ph, constraint)).jacobian(s)
+    return lin.jacobian(x, b)
 
 
-def _invariant_jacobian(
-    s: MonopoleState, ph: PhInvariants, constraint: bool, lin=None
-) -> np.ndarray:
-    """Dense 7-column Jacobian of the stacked residual: the rows at one point.
-
-    lin is the solve's _Linearisation; without it the backend's system
-    (_system) is used.
-    """
-    return (lin or _system(s, ph, constraint)).jacobian(s)
+def _invariant_jacobian(x: np.ndarray, b, lin: _Linearisation) -> np.ndarray:
+    """Dense 7-column Jacobian of the stacked residual of lin at x: the rows
+    at one point."""
+    return lin.jacobian(x, b)
 
 
 # --- gauge fixing ---------------------------------------------------------------
@@ -687,10 +681,10 @@ def _phase_fix_invariant(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grid_divergence(a: GaugeField) -> np.ndarray:
-    """div(a), flat: the value of _coulomb_form, whose rows _grid_jacobian holds."""
-    u = dict(zip((A0, A1, A2), (np.ravel(v) for v in (a.a0, a.a1re, a.a2re))))
-    return _coulomb_form(a.backend).value(u)
+def _grid_divergence(x: np.ndarray, b) -> np.ndarray:
+    """div(a) of the packed vector x, flat: the value of _coulomb_form, whose
+    rows _grid_jacobian holds."""
+    return _coulomb_form(b).value(dict(zip((A0, A1, A2), x.reshape(7, -1)[4:])))
 
 
 def _coulomb_project_grid(s: MonopoleState) -> MonopoleState:
@@ -704,7 +698,7 @@ def _coulomb_project_grid(s: MonopoleState) -> MonopoleState:
     b = s.backend
     n3 = b.n_points
     div = _coulomb_form(b)
-    rhs = _grid_divergence(s.a)
+    rhs = _grid_divergence(_pack(s), b)
     rhs = rhs - rhs.mean()
 
     def lap(v):
@@ -806,7 +800,6 @@ class SolveInfo:
     converged: bool
     iterations: int  # the loop index: steps + 1 on a converged stop
     report: ResidualReport
-    seed: int
     # converged: the cost reached the loop tolerance; line-search-stalled: no
     # halving decreased the cost; max-iter: the loop ran out of steps
     stop_reason: str
@@ -864,30 +857,27 @@ def solve(
     (_system), so the solves of a batch share it: its forms are built at the
     first use of (ph, eps, constraint) on the backend, and its Jacobian
     compiles only when another system was compiled on the backend since.  A
-    step only evaluates the Jacobian.
+    step only evaluates the Jacobian.  Inside the loop a state is its packed
+    vector (_pack), which the residual and the Jacobian read through _slots;
+    fields are built only for the grid's Coulomb projection of an accepted
+    iterate and for the final state.
     """
     ph = ph or derive_ph_invariants(model)
-    if eps is not None and not ph.torsion.is_zero():
-        raise TorsionError("eps-family system requires zero torsion")
     backend = init.backend
     state = MonopoleState(a=init.a, phi=init.phi, model=model, eps=eps)
-    lin = _system(state, ph, opts.constraint)  # raises WrongModel for another model
-    forms = lin.forms
+    # raises WrongModel for another model, and TorsionError for eps with torsion
+    lin = _system(state, ph, opts.constraint)
     grid = backend.kind == "heis-grid"
-
-    def to_state(x):
-        return _unpack(x, model, backend, eps)
-
     coulomb_weight = math.sqrt(backend.volume / backend.n_points)
 
     def res(x):
-        return _stack_residual(to_state(x), ph, opts.constraint, forms)
+        return _stack_residual(x, backend, lin)
 
     def gauge(x):
         if not opts.gauge_fix:
             return x
         if grid:
-            return _pack(_coulomb_project_grid(to_state(x)))
+            return _pack(_coulomb_project_grid(_unpack(x, model, backend, eps)))
         return _phase_fix_invariant(x)
 
     x = gauge(_pack(state))
@@ -907,19 +897,18 @@ def solve(
         if math.sqrt(cost) <= loop_tol:
             break
         if grid:
-            st = to_state(x)
-            rhs = -np.concatenate([r, coulomb_weight * _grid_divergence(st.a)])
+            rhs = -np.concatenate([r, coulomb_weight * _grid_divergence(x, backend)])
             fnorm = float(np.linalg.norm(rhs))
             if prev is not None:
                 eta = _forcing_term(eta, fnorm, *prev, loop_tol)
-            jac = _grid_jacobian(st, ph, opts.constraint, lin)
+            jac = _grid_jacobian(x, backend, lin)
             result = _lsqr_step(jac, lin, rhs, eta, step_scale)
             del jac  # freed before the next step builds its own
             p = result[0] if step_scale is None else step_scale * result[0]
             prev = (fnorm, float(result[3]))
             lsqr_steps.append((int(result[1]), int(result[2])))
         else:
-            jac = _invariant_jacobian(to_state(x), ph, opts.constraint, lin)
+            jac = _invariant_jacobian(x, backend, lin)
             p, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         step = 1.0
         accepted = False
@@ -941,7 +930,7 @@ def solve(
             stalled = True
             break
         steps += 1
-    final = to_state(x)
+    final = _unpack(x, model, backend, eps)
     rep = (
         residual_contact(final, ph) if eps is None else residual_sw(final, ph)
     )
@@ -955,7 +944,6 @@ def solve(
         converged=converged,
         iterations=iterations,
         report=rep,
-        seed=opts.seed,
         stop_reason=stop_reason,
         lsqr_steps=lsqr_steps,
         steps=steps,

@@ -219,6 +219,34 @@ def test_main_bad_input_exits_3(argv, fragment, capsys):
     _one_line_error(capsys, fragment)
 
 
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"command": "solve", "constraint": "false"}, "constraint"),
+        ({"command": "solve", "constraint": 1}, "constraint"),
+        ({"command": "solve", "backend": "heis-grid", "N": 8.5}, "N"),
+        ({"command": "solve", "backend": "heis-grid", "N": True}, "N"),
+        ({"command": "solve", "seed": 1.9}, "seed"),
+        ({"command": "solve", "seed": True}, "seed"),
+        ({"command": "solve", "seeds": "3"}, "seeds"),
+        ({"command": "derive", "output": 7}, "output"),
+        ({"command": "derive", "output": True}, "output"),
+        ({"command": "solve", "backend": ["heis-grid"]}, "backend"),
+        ({"command": "solve", "eps": True}, "eps"),
+        ({"command": "sweep", "eps_list": [True, "1/2"]}, "eps_list"),
+        ({"command": "sweep", "eps_list": "21"}, "eps_list"),
+        ({"command": "derive", "threads": True}, "threads"),
+        ({"command": "derive", "model": {"c_0_12": True}}, "model"),
+    ],
+)
+def test_main_config_value_of_wrong_type_exits_3(doc, key, tmp_path, capsys):
+    # a key takes its JSON type only: nothing is cast, and a bool is no number
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(doc))
+    assert main([doc["command"], "--config", str(cfg_file)]) == 3
+    _one_line_error(capsys, key)
+
+
 @pytest.mark.parametrize("command", ["derive", "curvature"])
 def test_exact_commands_take_eps_below_float_range(command, tmp_path):
     # only solve and sweep lower eps to a float

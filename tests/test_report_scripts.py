@@ -1,0 +1,46 @@
+"""The byte-identity scripts run on the current tree.
+
+scripts/report_digest.py calls private solver functions, so a change of their
+signatures shows here rather than at the next comparison of two trees.
+"""
+
+import os
+import re
+import subprocess
+import sys
+from collections import Counter
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scripts")
+
+# <sha256>  <kind>  <label>
+DIGEST_LINE = re.compile(r"[0-9a-f]{64}  (\S+)  \S.*")
+
+
+def run_script(name, *args, cwd):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, name), *args],
+        env=env,
+        cwd=cwd,
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_report_digest_and_diff_run(tmp_path):
+    saved = str(tmp_path / "saved")
+    digest = run_script("report_digest.py", "--save", saved, cwd=tmp_path)
+    assert digest.returncode == 0, digest.stderr
+    matches = [DIGEST_LINE.fullmatch(line) for line in digest.stdout.splitlines()]
+    assert all(matches), digest.stdout
+    assert Counter(m.group(1) for m in matches) == {
+        "exit=0": 26,
+        "jacobian_sha256": 38,
+        "residual_sha256": 38,
+        "state_sha256": 3,
+        "csv_sha256": 2,
+    }
+    diff = run_script("report_diff.py", saved, saved, cwd=tmp_path)
+    assert diff.returncode == 0, diff.stdout + diff.stderr
+    lines = diff.stdout.splitlines()
+    assert len(lines) == 26 and all(line.endswith(": identical") for line in lines)

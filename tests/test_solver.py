@@ -111,7 +111,8 @@ def test_residual_sw_requires_eps_and_no_torsion():
     with pytest.raises(TorsionError):
         residual_sw(st, derive_ph_invariants(t))
     with pytest.raises(TorsionError):  # the rows come from the same forms
-        solver_mod._invariant_jacobian(st, derive_ph_invariants(t), False)
+        lin = solver_mod._system(st, derive_ph_invariants(t), False)
+        solver_mod._invariant_jacobian(solver_mod._pack(st), st.backend, lin)
 
 
 # --- energy identities -------------------------------------------------------------
@@ -172,9 +173,9 @@ def test_reports_and_solver_share_one_residual(grid, eps):
     b = HeisGridBackend(HEIS, 8) if grid else InvariantBackend(HEIS)
     s = random_monopole_state(HEIS, b, seed=3, eps=eps)
     rep = residual_contact(s, PH_HEIS) if eps is None else residual_sw(s, PH_HEIS)
-    r = solver_mod._stack_residual(s, PH_HEIS, True)
-    assert rep.total**2 + rep.r_constraint**2 == pytest.approx(float(r @ r), rel=1e-12)
     x = solver_mod._pack(s)
+    r = solver_mod._stack_residual(x, b, solver_mod._system(s, PH_HEIS, True))
+    assert rep.total**2 + rep.r_constraint**2 == pytest.approx(float(r @ r), rel=1e-12)
     assert x.size == 7 * b.n_points
     assert np.array_equal(solver_mod._pack(solver_mod._unpack(x, HEIS, b, eps)), x)
 
@@ -597,17 +598,17 @@ def test_grid_jacobian_matches_directional_difference(eps):
     rng = np.random.default_rng(5)
     x = solver_mod._pack(s)
     v = rng.normal(size=x.size)
-    jac = solver_mod._grid_jacobian(s, PH_HEIS, True)
+    lin = solver_mod._system(s, PH_HEIS, True)
+    jac = solver_mod._grid_jacobian(x, b, lin)
     n3 = b.n**3
-    assert jac.shape == (len(solver_mod._stack_residual(s, PH_HEIS, True)) + n3, 7 * n3)
+    assert jac.shape == (len(solver_mod._stack_residual(x, b, lin)) + n3, 7 * n3)
 
     def stacked(y):
-        st = solver_mod._unpack(y, HEIS, b, eps)
         weight = math.sqrt(2.0 / n3)
         return np.concatenate(
             [
-                solver_mod._stack_residual(st, PH_HEIS, True),
-                weight * solver_mod._grid_divergence(st.a).ravel(),
+                solver_mod._stack_residual(y, b, lin),
+                weight * solver_mod._grid_divergence(y, b),
             ]
         )
 
@@ -641,11 +642,11 @@ def test_invariant_jacobian_matches_directional_difference(model, eps, constrain
     b = InvariantBackend(model)
     s = random_monopole_state(model, b, seed=4, eps=eps)
     x = solver_mod._pack(s)
-    jac = solver_mod._invariant_jacobian(s, ph, constraint)
+    lin = solver_mod._system(s, ph, constraint)
+    jac = solver_mod._invariant_jacobian(x, b, lin)
 
     def res(y):
-        st = solver_mod._unpack(y, model, b, eps)
-        return solver_mod._stack_residual(st, ph, constraint)
+        return solver_mod._stack_residual(y, b, lin)
 
     t = 1e-3
     diff = np.stack([(res(x + t * v) - res(x - t * v)) / (2 * t) for v in np.eye(7)], 1)
@@ -749,7 +750,9 @@ def test_jacobians_evaluate_no_residual(monkeypatch):
     monkeypatch.setattr(solver_mod, "_residual_fields", forbidden)
     for jacobian, ph, s in cases:
         for constraint in (False, True):
-            assert jacobian(s, ph, constraint).shape[1] == 7 * s.backend.n_points
+            lin = solver_mod._system(s, ph, constraint)
+            jac = jacobian(solver_mod._pack(s), s.backend, lin)
+            assert jac.shape[1] == 7 * s.backend.n_points
 
 
 # --- the compiled linearisation ---------------------------------------------------
@@ -757,7 +760,7 @@ def test_jacobians_evaluate_no_residual(monkeypatch):
 
 def fresh_jacobian(s, forms):
     """The Jacobian assembled from _Form.rows at s, term by term (the reference)."""
-    u = solver_mod._slots(s)
+    u = solver_mod._slots(solver_mod._pack(s), s.backend)
     blocks = [f.rows(f.diagonal(u)) for f in forms]
     grid = s.backend.kind == "heis-grid"
     if grid:
@@ -800,7 +803,7 @@ def test_compiled_linearisation_matches_fresh_assembly(model, kind, eps, constra
     lin = solver_mod._Linearisation(forms)
     scale = np.random.default_rng(1).uniform(0.5, 2.0, size=7 * b.n_points)
     for s in states:
-        jac = lin.jacobian(s)
+        jac = lin.jacobian(solver_mod._pack(s), b)
         want = fresh_jacobian(s, forms)
         assert jacobian_bytes(jac) == jacobian_bytes(want)
         if kind == "grid":
@@ -816,12 +819,13 @@ def test_lsqr_step_matches_lsqr_on_the_matrix(eps):
     b = HeisGridBackend(HEIS, 8)
     s = random_monopole_state(HEIS, b, seed=3, eps=eps)
     lin = solver_mod._Linearisation(solver_mod._forms(s, PH_HEIS, False))
-    rhs = np.random.default_rng(2).normal(size=lin.jacobian(s).shape[0])
+    x = solver_mod._pack(s)
+    rhs = np.random.default_rng(2).normal(size=lin.jacobian(x, b).shape[0])
     scale = np.full(7 * b.n_points, 0.5)
-    jac = lin.jacobian(s)
+    jac = lin.jacobian(x, b)
     jac.data *= scale[jac.indices]
     want = spla.lsqr(jac, rhs, damp=1e-12, atol=1e-14, btol=1e-6, iter_lim=3000)
-    got = solver_mod._lsqr_step(lin.jacobian(s), lin, rhs, 1e-6, scale)
+    got = solver_mod._lsqr_step(lin.jacobian(x, b), lin, rhs, 1e-6, scale)
     assert got[1:4] == want[1:4] and got[2] > 10
     assert got[0].tobytes() == want[0].tobytes()
 
@@ -934,6 +938,29 @@ def test_solve_info_counts_accepted_steps():
     assert info.stop_reason == "max-iter" and info.steps == info.iterations == 1
 
 
+def test_solve_builds_no_state_per_evaluation(monkeypatch):
+    # inside a solve a state is its packed vector: fields are built for the
+    # grid's Coulomb projection of the initial and each accepted iterate, and
+    # for the final state, never per residual or Jacobian evaluation
+    calls = []
+    unpack = solver_mod._unpack
+
+    def counting(*args):
+        calls.append(1)
+        return unpack(*args)
+
+    monkeypatch.setattr(solver_mod, "_unpack", counting)
+    init = random_monopole_state(S3, InvariantBackend(S3), seed=1)
+    _, info = solve(S3, None, init, SolveOpts(constraint=True), ph=PH_S3)
+    assert info.converged and info.steps >= 3
+    assert len(calls) == 1
+    calls.clear()
+    init = random_monopole_state(HEIS, HeisGridBackend(HEIS, 8), seed=0, eps=0.5)
+    _, info = solve(HEIS, 0.5, init, SolveOpts(seed=0), ph=PH_HEIS)
+    assert info.converged and info.steps >= 3
+    assert len(calls) == info.steps + 2
+
+
 @pytest.mark.parametrize("grid", [False, True])
 def test_solve_rejects_backend_of_another_model(grid):
     backend = HeisGridBackend(HEIS, 8) if grid else InvariantBackend(HEIS)
@@ -955,21 +982,19 @@ def test_grid_jacobian_coulomb_block_is_divergence():
     b = HeisGridBackend(HEIS, 8)
     n3 = b.n**3
     s = random_monopole_state(HEIS, b, seed=6, eps=0.5)
-    jac = solver_mod._grid_jacobian(s, PH_HEIS, False)
+    x = solver_mod._pack(s)
+    jac = solver_mod._grid_jacobian(x, b, solver_mod._system(s, PH_HEIS, False))
     coulomb = jac[-n3:]
     assert not coulomb[:, : 4 * n3].toarray().any()  # no spinor columns
     rng = np.random.default_rng(7)
-    shape = (b.n,) * 3
-    va = GaugeField(*(rng.normal(size=shape) for _ in range(3)), b)
-    a = s.a
+    # a gauge direction: zero in the spinor slots
+    v = np.concatenate([np.zeros(4 * n3), rng.normal(size=3 * n3)])
 
     def div_at(t):
-        moved = GaugeField(a.a0 + t * va.a0, a.a1re + t * va.a1re, a.a2re + t * va.a2re, b)
-        return solver_mod._grid_divergence(moved).ravel()
+        return solver_mod._grid_divergence(x + t * v, b)
 
     t = 0.25
     directional = (div_at(t) - div_at(-t)) / (2 * t)
-    v = np.concatenate([np.zeros(4 * n3), va.a0.ravel(), va.a1re.ravel(), va.a2re.ravel()])
     weight = math.sqrt(2.0 / n3)
     assert np.allclose(coulomb @ v, weight * directional, rtol=0, atol=1e-12)
 
@@ -1049,7 +1074,9 @@ def test_float_solves_run_no_exact_arithmetic(monkeypatch):
     recs = sweep(HEIS, [0.5, 0.25], ph=PH_HEIS)
     assert all(r.converged for r in recs)
     for s in grid_states:
+        x = solver_mod._pack(s)
         for constraint in (False, True):
-            r = solver_mod._stack_residual(s, PH_HEIS, constraint)
-            jac = solver_mod._grid_jacobian(s, PH_HEIS, constraint)
+            lin = solver_mod._system(s, PH_HEIS, constraint)
+            r = solver_mod._stack_residual(x, grid, lin)
+            jac = solver_mod._grid_jacobian(x, grid, lin)
             assert jac.shape[0] == r.size + grid.n_points
