@@ -174,8 +174,6 @@ def _is_float_eps(eps: Fraction) -> bool:
 
 def _resolve_model(spec) -> ModelStructure:
     """A catalog name, a JSON file, inline JSON or a mapping, as a model."""
-    if isinstance(spec, ModelStructure):
-        return spec
     if isinstance(spec, str) and spec in CATALOG_PARAMS:
         return catalog_model(spec)
     try:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -21,9 +21,8 @@ from .algebra import ModelStructure, is_heisenberg
 from .errors import BackendMismatch, TorsionError, WrongModel
 from .pseudohermitian import PhInvariants
 
-DIR_T = "0"
-DIR_Z1 = "1"
-DIR_Z1BAR = "1bar"
+# a direction is the index of its frame operator in Backend.stencils
+DIR_T, DIR_Z1, DIR_Z1BAR = 0, 3, 4
 
 
 class _Stencil(tuple):
@@ -87,15 +86,6 @@ class Backend:
     def apply(self, k: int, arr):
         """Frame operator k of `stencils` applied to a field."""
         return self.stencils[k].apply(np.ravel(arr)).reshape(np.shape(arr))
-
-    def d_T(self, arr):
-        return self.apply(0, arr)
-
-    def d_e1(self, arr):
-        return self.apply(1, arr)
-
-    def d_e2(self, arr):
-        return self.apply(2, arr)
 
     @cached_property
     def systems(self) -> dict:
@@ -219,17 +209,6 @@ class SpinorField:
             self.alpha + other.alpha, self.beta1bar + other.beta1bar, self.backend
         )
 
-    def __sub__(self, other):
-        _check_same_backend(self, other)
-        return SpinorField(
-            self.alpha - other.alpha, self.beta1bar - other.beta1bar, self.backend
-        )
-
-    def __mul__(self, scalar):
-        return SpinorField(self.alpha * scalar, self.beta1bar * scalar, self.backend)
-
-    __rmul__ = __mul__
-
     def pointwise_sq(self):
         return self.alpha * _conj(self.alpha) + self.beta1bar * _conj(self.beta1bar)
 
@@ -254,7 +233,7 @@ def zero_gauge(backend: Backend) -> GaugeField:
     return GaugeField(*(np.zeros(backend.shape)[()] for _ in range(3)), backend)
 
 
-def _connection_weight(ph: PhInvariants, direction: str):
+def _connection_weight(ph: PhInvariants, direction: int):
     """i*omega(direction): the connection weight of the beta slot."""
     w0, w1, w2 = ph.omega_float()
     if direction == DIR_T:
@@ -266,49 +245,30 @@ def _connection_weight(ph: PhInvariants, direction: str):
     raise ValueError(f"unknown direction {direction!r}")
 
 
-# each direction's operator in Backend.stencils
-_STENCIL_OF = {DIR_T: 0, DIR_Z1: 3, DIR_Z1BAR: 4}
-
-
-def _frame_derivative(backend: Backend, direction: str, arr):
-    if direction not in _STENCIL_OF:
-        raise ValueError(f"unknown direction {direction!r}")
-    return backend.apply(_STENCIL_OF[direction], arr)
-
-
-def cov_deriv(
-    f: SpinorField, direction: str, a: Optional[GaugeField], ph: PhInvariants
-) -> SpinorField:
+def cov_deriv(f: SpinorField, direction: int, a: GaugeField, ph: PhInvariants) -> SpinorField:
     """Gauge-twisted pseudohermitian covariant derivative, component-wise.
 
     alpha carries no connection weight; the beta slot carries i*omega(dir);
     both carry +i a(dir).
     """
     weight = _connection_weight(ph, direction)
-    if a is None:
-        twist = 0j
-    else:
-        _check_same_backend(f, a)
-        along = {DIR_T: lambda: a.a0, DIR_Z1: a.aZ1, DIR_Z1BAR: a.aZ1bar}[direction]
-        twist = 1j * along()  # a(direction), built for this direction only
-    alpha = _frame_derivative(f.backend, direction, f.alpha) + twist * f.alpha
-    beta = (
-        _frame_derivative(f.backend, direction, f.beta1bar)
-        + (weight + twist) * f.beta1bar
-    )
-    return SpinorField(alpha, beta, f.backend)
+    _check_same_backend(f, a)
+    along = {DIR_T: lambda: a.a0, DIR_Z1: a.aZ1, DIR_Z1BAR: a.aZ1bar}[direction]
+    twist = 1j * along()  # a(direction), built for this direction only
+    b = f.backend
+    alpha = b.apply(direction, f.alpha) + twist * f.alpha
+    beta = b.apply(direction, f.beta1bar) + (weight + twist) * f.beta1bar
+    return SpinorField(alpha, beta, b)
 
 
-def dirac_xi(f: SpinorField, a: Optional[GaugeField], ph: PhInvariants) -> SpinorField:
+def dirac_xi(f: SpinorField, a: GaugeField, ph: PhInvariants) -> SpinorField:
     """Contact Dirac operator: components (-2 beta^a_{1b,1}, 2 alpha^a_{,1b})."""
     d_beta = cov_deriv(f, DIR_Z1, a, ph).beta1bar
     d_alpha = cov_deriv(f, DIR_Z1BAR, a, ph).alpha
     return SpinorField(-2 * d_beta, 2 * d_alpha, f.backend)
 
 
-def dirac_eps(
-    f: SpinorField, a: Optional[GaugeField], ph: PhInvariants, eps
-) -> SpinorField:
+def dirac_eps(f: SpinorField, a: GaugeField, ph: PhInvariants, eps) -> SpinorField:
     """eps-family Dirac operator, valid only for vanishing torsion.
 
     components: (2 beta^a_{1b,1} - i/eps alpha^a_{,0} + eps alpha,
@@ -333,13 +293,11 @@ def l2_inner(f: SpinorField, g: SpinorField) -> complex:
 
 
 def l2_norm_sq(f: SpinorField) -> float:
-    val = l2_inner(f, f)
-    return float(val.real if isinstance(val, complex) else val)
+    return l2_inner(f, f).real
 
 
 def scalar_l2_norm_sq(backend: Backend, values) -> float:
-    out = backend.integrate(values * _conj(values))
-    return float(out.real if isinstance(out, complex) else out)
+    return backend.integrate(values * _conj(values)).real
 
 
 def sup_phi_sq(f: SpinorField) -> float:
@@ -376,8 +334,8 @@ class AdjointReport:
 def adjoint_check(
     f: SpinorField,
     g: SpinorField,
-    direction: str,
-    a: Optional[GaugeField],
+    direction: int,
+    a: GaugeField,
     ph: PhInvariants,
 ) -> AdjointReport:
     """<nabla_v f, g> against <f, -nabla_vbar g>; div(v) = 0 on these backends.

@@ -47,7 +47,6 @@ from .fields import (
     cov_deriv,
     dirac_xi,
     gauge_curvature_components,
-    gauge_transform,
     l2_norm_sq,
     scalar_l2_norm_sq,
     sup_phi_sq,
@@ -128,9 +127,6 @@ class WeitzenbockReport:
     def gap(self):
         return abs(self.dirac_sq - self.rhs)
 
-    def as_dict(self):
-        return asdict(self)
-
 
 def weitzenbock_energy(s: MonopoleState, ph: PhInvariants) -> WeitzenbockReport:
     """The four energy summands against an independent Dirac norm."""
@@ -177,6 +173,11 @@ def energy_identity(s: MonopoleState, ph: PhInvariants, tol: float = 1e-9) -> fl
             f"state is not a constrained solution: total={rr.total:.3e}, "
             f"constraint={rr.r_constraint:.3e}"
         )
+    return _energy(s, ph)
+
+
+def _energy(s: MonopoleState, ph: PhInvariants) -> float:
+    """The value of energy_identity, without its residual check."""
     rep = weitzenbock_energy(s, ph)
     b = s.backend
     phi_sq = s.phi.pointwise_sq()
@@ -202,6 +203,10 @@ class FamilyMembership:
         return asdict(self)
 
 
+# a state is in the family when both gaps are below FAMILY_TOL
+FAMILY_TOL = 1e-10
+
+
 class HeisenbergFamily:
     """Exact invariant solution family of the contact system on gen(0,0).
 
@@ -218,7 +223,7 @@ class HeisenbergFamily:
     def a0_for(alpha: complex, beta1bar: complex) -> float:
         return (abs(alpha) ** 2 - abs(beta1bar) ** 2) / 2.0
 
-    def membership(self, s: MonopoleState, tol: float = 1e-10) -> FamilyMembership:
+    def membership(self, s: MonopoleState) -> FamilyMembership:
         if s.backend.kind != "invariant":
             raise WrongModel("closed form describes the invariant sector")
         alpha, beta = complex(s.phi.alpha), complex(s.phi.beta1bar)
@@ -227,7 +232,7 @@ class HeisenbergFamily:
         curvature_gap = abs(2 * a0 - abs(alpha) ** 2 + abs(beta) ** 2)
         dirac_gap = 2 * math.hypot(abs(a1 * beta), abs(a1 * alpha))
         return FamilyMembership(
-            member=(curvature_gap <= tol and dirac_gap <= tol),
+            member=(curvature_gap <= FAMILY_TOL and dirac_gap <= FAMILY_TOL),
             curvature_gap=curvature_gap,
             dirac_gap=dirac_gap,
         )
@@ -687,18 +692,18 @@ def _grid_divergence(x: np.ndarray, b) -> np.ndarray:
     return _coulomb_form(b).value(dict(zip((A0, A1, A2), x.reshape(7, -1)[4:])))
 
 
-def _coulomb_project_grid(s: MonopoleState) -> MonopoleState:
-    """Project a to the discrete Coulomb slice and fix the base-point phase.
+def _coulomb_project_grid(x: np.ndarray, b) -> np.ndarray:
+    """The packed vector x with a projected to the discrete Coulomb slice and
+    the base-point phase fixed.
 
     Solves the frame Laplacian div(grad chi) = div(a) by conjugate gradients,
     with the frame stencils as grad and _coulomb_form as div, and applies
-    gauge_transform(a, Phi, chi).  Raises SolveError when CG does not
-    converge.
+    fields.gauge_transform's action to x's slots: Phi -> exp(i chi) Phi,
+    a -> a - d(chi).  Raises SolveError when CG does not converge.
     """
-    b = s.backend
     n3 = b.n_points
     div = _coulomb_form(b)
-    rhs = _grid_divergence(_pack(s), b)
+    rhs = _grid_divergence(x, b)
     rhs = rhs - rhs.mean()
 
     def lap(v):
@@ -710,13 +715,17 @@ def _coulomb_project_grid(s: MonopoleState) -> MonopoleState:
     chi, info = spla.cg(op, rhs, rtol=1e-12, atol=1e-14, maxiter=300)
     if info != 0:
         raise SolveError(f"Coulomb gauge projection: CG stopped with info={info}")
-    a_new, phi_new = gauge_transform(s.a, s.phi, (chi - chi.mean()).reshape(b.shape))
+    chi = chi - chi.mean()
+    alpha, _, beta, _, *a = _slots(x, b)
+    phase = np.exp(1j * chi)
+    alpha, beta = alpha * phase, beta * phase
     # base-point phase fix
-    ref = phi_new.alpha.ravel()[0]
+    ref = alpha[0]
     if abs(ref) > 1e-12:
         rot = np.conj(ref) / abs(ref)
-        phi_new = SpinorField(phi_new.alpha * rot, phi_new.beta1bar * rot, b)
-    return MonopoleState(a=a_new, phi=phi_new, model=s.model, eps=s.eps)
+        alpha, beta = alpha * rot, beta * rot
+    a = [a_k - b.apply(k, chi + 0j).real for k, a_k in enumerate(a)]
+    return np.array([alpha.real, alpha.imag, beta.real, beta.imag, *a]).ravel()
 
 
 # --- Gauss-Newton ---------------------------------------------------------------
@@ -781,7 +790,10 @@ def _lsqr_step(jac, lin: _Linearisation, rhs: np.ndarray, eta: float, step_scale
     )
 
 
-# a solve has converged when its residual norm is below these
+# the loop stops once the residual norm is below LOOP_TOL_*, and a solve has
+# converged when it is below CONVERGED_*
+LOOP_TOL_INVARIANT = 1e-12
+LOOP_TOL_GRID = 1e-8
 CONVERGED_INVARIANT = 1e-10
 CONVERGED_GRID = 1e-6
 
@@ -789,7 +801,6 @@ CONVERGED_GRID = 1e-6
 @dataclass
 class SolveOpts:
     max_iter: int = 80
-    tol: float = 1e-12
     constraint: bool = False
     seed: int = 0
     gauge_fix: bool = True
@@ -858,9 +869,8 @@ def solve(
     first use of (ph, eps, constraint) on the backend, and its Jacobian
     compiles only when another system was compiled on the backend since.  A
     step only evaluates the Jacobian.  Inside the loop a state is its packed
-    vector (_pack), which the residual and the Jacobian read through _slots;
-    fields are built only for the grid's Coulomb projection of an accepted
-    iterate and for the final state.
+    vector (_pack), which the residual, the Jacobian and the gauge fix read
+    through _slots; fields are built only for the final state.
     """
     ph = ph or derive_ph_invariants(model)
     backend = init.backend
@@ -877,14 +887,14 @@ def solve(
         if not opts.gauge_fix:
             return x
         if grid:
-            return _pack(_coulomb_project_grid(_unpack(x, model, backend, eps)))
+            return _coulomb_project_grid(x, backend)
         return _phase_fix_invariant(x)
 
     x = gauge(_pack(state))
     r = res(x)
     cost = float(r @ r)
     iterations = 0
-    loop_tol = opts.tol if not grid else max(opts.tol, 1e-8)
+    loop_tol = LOOP_TOL_GRID if grid else LOOP_TOL_INVARIANT
     step_scale = None
     if grid and r.size + backend.n_points < x.size:  # underdetermined: see above
         step_scale = np.ones(x.size)
@@ -931,11 +941,7 @@ def solve(
             break
         steps += 1
     final = _unpack(x, model, backend, eps)
-    rep = (
-        residual_contact(final, ph) if eps is None else residual_sw(final, ph)
-    )
-    threshold = CONVERGED_GRID if grid else CONVERGED_INVARIANT
-    converged = math.sqrt(cost) <= max(opts.tol, threshold)
+    converged = math.sqrt(cost) <= (CONVERGED_GRID if grid else CONVERGED_INVARIANT)
     if math.sqrt(cost) <= loop_tol:
         stop_reason = "converged"
     else:
@@ -943,7 +949,7 @@ def solve(
     return final, SolveInfo(
         converged=converged,
         iterations=iterations,
-        report=rep,
+        report=_residual_report(final, ph),
         stop_reason=stop_reason,
         lsqr_steps=lsqr_steps,
         steps=steps,
@@ -991,7 +997,7 @@ def vanishing_certificate(
             energy=None,
             report=rr,
         )
-    energy = energy_identity(s, ph, tol=CERT_TOL_RESIDUAL)
+    energy = _energy(s, ph)  # the check above is energy_identity's guard
     sup_phi = math.sqrt(sup_phi_sq(s.phi))
     verdict = (
         "consistent-with-vanishing"

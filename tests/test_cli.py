@@ -134,6 +134,10 @@ def test_main_cli_roundtrip(tmp_path, capsys):
     assert data["result"]["W"] == "2"
     code = main(["check", "--model", "torsion", "--output", str(tmp_path / "c.json")])
     assert code == 0
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"name": "custom", "p": "1/2", "q": "1/2"}))
+    assert main(["derive", "--model", str(model), "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["result"]["W"] == "1"
 
 
 def test_run_solve_grid():
@@ -212,6 +216,10 @@ HUGE_P = '{"name": "g", "p": "1e400", "q": "1"}'
         (["solve", "--eps", "1e-400"], "eps does not lower to a positive finite float"),
         (["solve", "--eps", "1e400"], "eps does not lower to a positive finite float"),
         (["sweep", "--eps-list", "1/2,1e-400"], "eps_list entry 1 does not lower"),
+        (["sweep"], "sweep requires eps_list"),
+        (["derive", "--model", "no/such.json"], "unknown model"),
+        (["derive", "--eps=-1/2"], "eps must be positive"),
+        (["sweep", "--eps-list", "1/2,-1/4"], "entries must be positive"),
     ],
 )
 def test_main_bad_input_exits_3(argv, fragment, capsys):
@@ -237,6 +245,7 @@ def test_main_bad_input_exits_3(argv, fragment, capsys):
         ({"command": "sweep", "eps_list": "21"}, "eps_list"),
         ({"command": "derive", "threads": True}, "threads"),
         ({"command": "derive", "model": {"c_0_12": True}}, "model"),
+        ({"command": "solve", "backend": "bogus"}, "backend"),
     ],
 )
 def test_main_config_value_of_wrong_type_exits_3(doc, key, tmp_path, capsys):

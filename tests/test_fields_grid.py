@@ -96,7 +96,7 @@ def test_discrete_bracket_order():
     for n in (16, 32, 64):
         b = HeisGridBackend(HEIS, n)
         f = theta_state(b, m=1, sigma=0.14)
-        br = b.d_e1(b.d_e2(f)) - b.d_e2(b.d_e1(f)) + 2 * b.d_T(f)
+        br = b.apply(1, b.apply(2, f)) - b.apply(2, b.apply(1, f)) + 2 * b.apply(0, f)
         defects.append(float(np.max(np.abs(br))))
     order1 = np.log2(defects[0] / defects[1])
     order2 = np.log2(defects[1] / defects[2])
@@ -110,7 +110,7 @@ def test_bracket_seam_layer():
     for n in (16, 32, 64):
         b = HeisGridBackend(HEIS, n)
         f = theta_state(b, m=1, sigma=0.35)
-        br = b.d_e1(b.d_e2(f)) - b.d_e2(b.d_e1(f)) + 2 * b.d_T(f)
+        br = b.apply(1, b.apply(2, f)) - b.apply(2, b.apply(1, f)) + 2 * b.apply(0, f)
         sup_seam.append(float(np.max(np.abs(br[:, [0, n - 1], :]))))
         sup_inner.append(float(np.max(np.abs(br[:, n // 4 : 3 * n // 4, :]))))
     seam_order = np.log2(sup_seam[1] / sup_seam[2])
@@ -123,7 +123,7 @@ def test_bracket_exact_on_z_independent_states(grid16):
     b = grid16
     x, y, _ = b.coords()
     f = np.exp(2j * np.pi * (x + 2 * y)) * np.ones((b.n,) * 3)
-    br = b.d_e1(b.d_e2(f)) - b.d_e2(b.d_e1(f)) + 2 * b.d_T(f)
+    br = b.apply(1, b.apply(2, f)) - b.apply(2, b.apply(1, f)) + 2 * b.apply(0, f)
     assert np.max(np.abs(br)) < 1e-12
 
 
@@ -207,8 +207,8 @@ def test_commutation_relation_with_gauge_curvature():
         ).alpha
         a0 = a.a0 + 0j
         a1b = a.aZ1bar() + 0j
-        half = 0.5 * (b.d_e1(a0) + 1j * b.d_e2(a0))
-        rhs = 1j * (half - b.d_T(a1b)) * f.alpha
+        half = 0.5 * (b.apply(1, a0) + 1j * b.apply(2, a0))
+        rhs = 1j * (half - b.apply(0, a1b)) * f.alpha
         gaps.append(float(np.max(np.abs(lhs - rhs))))
     assert gaps[0] / gaps[1] > 3.0  # O(h^2) decay
 

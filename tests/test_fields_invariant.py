@@ -51,6 +51,10 @@ def test_cov_deriv_constants_have_no_horizontal_weight():
         for direction in (DIR_Z1, DIR_Z1BAR):
             d = cov_deriv(f, direction, zero_gauge(b), PH[name])
             assert d.alpha == 0 and d.beta1bar == 0
+        # e1 and e2 are operators 1 and 2 of the stencils, but no direction
+        for direction in (1, 2):
+            with pytest.raises(ValueError):
+                cov_deriv(f, direction, zero_gauge(b), PH[name])
 
 
 def test_cov_deriv_gauge_twist():
@@ -171,7 +175,7 @@ def test_grid_backend_requires_heisenberg():
 def test_invariant_backend_is_the_grid_at_one_point():
     b = InvariantBackend(S3)
     assert (b.shape, b.n_points) == ((), 1)
-    assert b.d_T(1.5 + 2j) == b.d_e1(1.5 + 2j) == b.d_e2(1.5 + 2j) == 0j
+    assert b.apply(0, 1.5 + 2j) == b.apply(1, 1.5 + 2j) == b.apply(2, 1.5 + 2j) == 0j
     a = zero_gauge(b)
     assert (a.a0, a.a1re, a.a2re) == (0.0, 0.0, 0.0)
     assert b.integrate(0.75) == 1.5 and b.sup(-3j) == 3.0
