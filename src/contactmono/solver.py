@@ -47,6 +47,7 @@ from .fields import (
     cov_deriv,
     dirac_xi,
     gauge_curvature_components,
+    gauge_transform,
     l2_norm_sq,
     scalar_l2_norm_sq,
     sup_phi_sq,
@@ -160,15 +161,21 @@ def weitzenbock_energy(s: MonopoleState, ph: PhInvariants) -> WeitzenbockReport:
     )
 
 
-def energy_identity(s: MonopoleState, ph: PhInvariants, tol: float = 1e-9) -> float:
+# energy_identity accepts a state as a solution when its contact residual and
+# Reeb constraint are below ENERGY_TOL
+ENERGY_TOL = 1e-9
+
+
+def energy_identity(s: MonopoleState, ph: PhInvariants) -> float:
     """grad energy + int W |Phi|^2 + int (|alpha|^2-|beta|^2)^2 for solutions.
 
-    Preconditions: the contact residual and the Reeb constraint both pass tol.
+    Preconditions: the contact residual and the Reeb constraint both pass
+    ENERGY_TOL.
     For positive Webster curvature a genuine solution forces this to vanish,
     which in turn forces Phi = 0.
     """
     rr = residual_contact(s, ph)
-    if rr.total > tol or rr.r_constraint > tol:
+    if rr.total > ENERGY_TOL or rr.r_constraint > ENERGY_TOL:
         raise NotASolution(
             f"state is not a constrained solution: total={rr.total:.3e}, "
             f"constraint={rr.r_constraint:.3e}"
@@ -698,8 +705,8 @@ def _coulomb_project_grid(x: np.ndarray, b) -> np.ndarray:
 
     Solves the frame Laplacian div(grad chi) = div(a) by conjugate gradients,
     with the frame stencils as grad and _coulomb_form as div, and applies
-    fields.gauge_transform's action to x's slots: Phi -> exp(i chi) Phi,
-    a -> a - d(chi).  Raises SolveError when CG does not converge.
+    gauge_transform with chi to x's slots.  Raises SolveError when CG does not
+    converge.
     """
     n3 = b.n_points
     div = _coulomb_form(b)
@@ -717,15 +724,16 @@ def _coulomb_project_grid(x: np.ndarray, b) -> np.ndarray:
         raise SolveError(f"Coulomb gauge projection: CG stopped with info={info}")
     chi = chi - chi.mean()
     alpha, _, beta, _, *a = _slots(x, b)
-    phase = np.exp(1j * chi)
-    alpha, beta = alpha * phase, beta * phase
+    a, phi = gauge_transform(GaugeField(*a, b), SpinorField(alpha, beta, b), chi)
+    alpha, beta = phi.alpha, phi.beta1bar
     # base-point phase fix
     ref = alpha[0]
     if abs(ref) > 1e-12:
         rot = np.conj(ref) / abs(ref)
         alpha, beta = alpha * rot, beta * rot
-    a = [a_k - b.apply(k, chi + 0j).real for k, a_k in enumerate(a)]
-    return np.array([alpha.real, alpha.imag, beta.real, beta.imag, *a]).ravel()
+    return np.array(
+        [alpha.real, alpha.imag, beta.real, beta.imag, a.a0, a.a1re, a.a2re]
+    ).ravel()
 
 
 # --- Gauss-Newton ---------------------------------------------------------------

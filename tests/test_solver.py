@@ -270,6 +270,8 @@ def test_vanishing_certificate_paths():
     bad = inv_state(S3, 0.0, 1.0, 2.0)  # beta^a_{1b,0} = -2i beta != 0
     v2 = vanishing_certificate(S3, bad)
     assert v2.verdict == "not-a-solution"
+    with pytest.raises(PreconditionError):
+        vanishing_certificate(HEIS, inv_state(HEIS, 0.0, 0.0, 0.0))
 
 
 def test_certificate_evaluates_the_residual_once(monkeypatch):
@@ -286,8 +288,6 @@ def test_certificate_evaluates_the_residual_once(monkeypatch):
     v = vanishing_certificate(S3, inv_state(S3, 0.0, 0.0, 1.0), PH_S3)
     assert v.verdict == "consistent-with-vanishing" and v.energy is not None
     assert len(calls) == 1
-    with pytest.raises(PreconditionError):
-        vanishing_certificate(HEIS, inv_state(HEIS, 0.0, 0.0, 0.0))
 
 
 def test_gauge_covariance_invariant_constant_phase():
@@ -1036,10 +1036,17 @@ def test_coulomb_projection_is_a_gauge_transformation():
     y = solver_mod._coulomb_project_grid(x, b)
     before, after = solver_mod._grid_divergence(x, b), solver_mod._grid_divergence(y, b)
     assert np.max(np.abs(after)) <= 1e-9 * np.max(np.abs(before))
-    (alpha, _, beta, *_), (alpha2, _, beta2, *_) = (solver_mod._slots(v, b) for v in (x, y))
+    (alpha, _, beta, _, *a), (alpha2, _, beta2, _, *a2) = (
+        solver_mod._slots(v, b) for v in (x, y)
+    )
     assert np.allclose(abs(alpha2), abs(alpha), rtol=1e-13, atol=0)
     assert np.allclose(np.conj(alpha2) * beta2, np.conj(alpha) * beta, rtol=1e-13, atol=0)
     assert alpha2[0].real > 0 and abs(alpha2[0].imag) <= 1e-15 * alpha2[0].real
+    # the phase Phi gained relative to point 0 (below pi here, so np.angle
+    # returns it unwrapped) is the chi whose gauge_transform moved a
+    chi = np.angle(alpha2 / alpha * (alpha[0] / alpha2[0]))
+    a_t, _ = gauge_transform(GaugeField(*a, b), SpinorField(alpha, beta, b), chi)
+    assert np.allclose([a_t.a0, a_t.a1re, a_t.a2re], a2, rtol=0, atol=1e-13)
 
 
 def test_coulomb_projection_fails_loudly(monkeypatch):
