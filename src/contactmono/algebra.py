@@ -75,17 +75,6 @@ class InvariantForm:
             return InvariantForm(len(idx), {})
         return InvariantForm(len(idx), {key: ExactComplex(sign)})
 
-    @staticmethod
-    def one_form(c0, c1, c2) -> "InvariantForm":
-        return InvariantForm(
-            1,
-            {
-                (0,): ExactComplex.coerce(c0),
-                (1,): ExactComplex.coerce(c1),
-                (2,): ExactComplex.coerce(c2),
-            },
-        )
-
     # -- coefficient access ----------------------------------------------
     def coeff(self, *idx: int) -> ExactComplex:
         sign, key = _sort_sign(idx)
@@ -308,15 +297,6 @@ def hodge_star_eps(a: InvariantForm, eps: Fraction) -> InvariantForm:
         factor = ExactComplex(eps if p == 1 else Fraction(1, 1) / eps) * ExactComplex(sign)
         out[target] = out.get(target, ExactComplex(0)) + v * factor
     return InvariantForm(3 - a.degree, out)
-
-
-def form_inner_eps(a: InvariantForm, b: InvariantForm, eps: Fraction) -> ExactComplex:
-    """<a, b>_eps via a ^ star(conj b) against the volume form."""
-    if a.degree != b.degree:
-        raise DegreeError("inner product of mixed degrees")
-    vol_coeff = ExactComplex(Fraction(eps))  # vol = eps * e0^e1^e2
-    top = wedge(a, hodge_star_eps(b.conjugate(), eps))
-    return top.coeff(0, 1, 2) / vol_coeff
 
 
 def make_model(c, name: str = "model") -> ModelStructure:

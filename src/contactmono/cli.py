@@ -161,6 +161,9 @@ def parse_config(doc: Mapping) -> RunConfig:
         raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
     if cfg.seeds < 1:
         raise ConfigError(f"seeds must be at least 1, got {cfg.seeds}")
+    # a sweep writes its table beside the report, with the suffix .csv
+    if cfg.command == "sweep" and cfg.output and os.path.splitext(cfg.output)[1] == ".csv":
+        raise ConfigError(f"sweep output {cfg.output!r} would be overwritten by its CSV table")
     return cfg
 
 
@@ -187,7 +190,7 @@ def _resolve_model(spec) -> ModelStructure:
             return model_from_json(spec)
     except INPUT_ERRORS:
         raise
-    except (ValueError, ZeroDivisionError) as exc:
+    except (OSError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"cannot read model: {exc}") from exc
     raise ConfigError(f"unknown model {spec!r}")
 
@@ -424,12 +427,15 @@ def run(cfg: RunConfig):
 
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if cfg.output:
-        with open(cfg.output, "w") as fh:
-            fh.write(text)
-        if cfg.command == "sweep":
-            csv_path = os.path.splitext(cfg.output)[0] + ".csv"
-            with open(csv_path, "w") as fh:
-                fh.write(sweep_csv(body["records"]))
+        try:
+            with open(cfg.output, "w") as fh:
+                fh.write(text)
+            if cfg.command == "sweep":
+                csv_path = os.path.splitext(cfg.output)[0] + ".csv"
+                with open(csv_path, "w") as fh:
+                    fh.write(sweep_csv(body["records"]))
+        except OSError as exc:
+            raise ConfigError(f"cannot write report: {exc}") from exc
     else:
         sys.stdout.write(text)
     return exit_code, report

@@ -18,7 +18,6 @@ from typing import Dict, List, Optional, Tuple
 from .algebra import (
     InvariantForm,
     ModelStructure,
-    exterior_d,
     interior,
     theta,
     theta1,
@@ -69,13 +68,6 @@ def mat_is_zero(x: Mat2) -> bool:
     return all(a.is_zero() for r in x for a in r)
 
 
-def mat_apply(x: Mat2, v):
-    return (
-        x[0][0] * v[0] + x[0][1] * v[1],
-        x[1][0] * v[0] + x[1][1] * v[1],
-    )
-
-
 @dataclass(frozen=True)
 class CliffordRep:
     """2x2 matrices of the generators in the basis {Phi0, Phi1}."""
@@ -86,29 +78,6 @@ class CliffordRep:
 
     def generators(self) -> List[str]:
         return list(self.mats)
-
-    def of_form(self, a: InvariantForm) -> Mat2:
-        """Clifford action of an invariant form (degree 0..3).
-
-        For rho-eps the stored matrix belongs to the unit covector eps*e0,
-        so a bare e0 factor picks up eps^{-1}.
-        """
-        out = MAT_ZERO
-        for key, coeff in a.coeffs.items():
-            m = MAT_ID
-            for idx in key:
-                m = mat_mul(m, self._gen(idx))
-            scale = coeff
-            if self.kind == "rho-eps" and 0 in key:
-                scale = scale * ExactComplex(Fraction(1) / self.eps)
-            out = mat_add(out, mat_scale(scale, m))
-        return out
-
-    def _gen(self, idx: int) -> Mat2:
-        label = f"e{idx}"
-        if label not in self.mats:
-            raise KeyError(f"{self.kind} has no generator {label}")
-        return self.mats[label]
 
 
 def gamma_can() -> CliffordRep:
@@ -285,29 +254,6 @@ def conn_coeffs(ph: PhInvariants, eps, a: InvariantForm, flavor: str) -> ConnCoe
     else:
         raise ValueError(f"unknown connection flavor {flavor!r}")
     return ConnCoeffs(base=base, twist=a, trace_half=trace_half, flavor=flavor, eps=eps)
-
-
-@dataclass(frozen=True)
-class CurvatureTrace:
-    F_b: InvariantForm  # d(trace_half), a 2-form
-    F12: ExactComplex  # real: F_b = i(F12 e1^e2 + F01 e0^e1 + F02 e0^e2)
-    F0: ExactComplex  # F01 + i F02
-    pi_xi_trace: ExactComplex  # F_b(e_1, e_2), imaginary
-
-
-def curvature_trace(cc: ConnCoeffs, m: ModelStructure) -> CurvatureTrace:
-    """Half-trace curvature F_b = d(b) and its frame components."""
-    f_b = exterior_d(cc.trace_half, m)
-    minus_i = -EC_I
-    f12 = minus_i * f_b.coeff(1, 2)
-    f01 = minus_i * f_b.coeff(0, 1)
-    f02 = minus_i * f_b.coeff(0, 2)
-    return CurvatureTrace(
-        F_b=f_b,
-        F12=f12,
-        F0=f01 + EC_I * f02,
-        pi_xi_trace=f_b.coeff(1, 2),
-    )
 
 
 def unitarity_diagnostic(cc: ConnCoeffs) -> Tuple[bool, FormMat]:

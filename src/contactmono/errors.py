@@ -33,10 +33,6 @@ class WrongModel(ValueError):
     """Operation restricted to a specific catalog model."""
 
 
-class NotASolution(ValueError):
-    """State failed the residual/constraint preconditions of an identity."""
-
-
 class PreconditionError(ValueError):
     """A documented precondition (e.g. positive Webster curvature) fails."""
 

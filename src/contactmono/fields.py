@@ -95,9 +95,6 @@ class Backend:
         """
         return {}
 
-    def zero(self):
-        return np.zeros(self.shape, dtype=complex)[()]
-
     def integrate(self, values):
         return complex(np.sum(values)) * (self.volume / self.n_points)
 
@@ -203,12 +200,6 @@ class SpinorField:
     beta1bar: object
     backend: Backend
 
-    def __add__(self, other):
-        _check_same_backend(self, other)
-        return SpinorField(
-            self.alpha + other.alpha, self.beta1bar + other.beta1bar, self.backend
-        )
-
     def pointwise_sq(self):
         return self.alpha * _conj(self.alpha) + self.beta1bar * _conj(self.beta1bar)
 
@@ -227,10 +218,6 @@ class GaugeField:
 
     def aZ1bar(self):
         return (self.a1re + 1j * self.a2re) * 0.5
-
-
-def zero_gauge(backend: Backend) -> GaugeField:
-    return GaugeField(*(np.zeros(backend.shape)[()] for _ in range(3)), backend)
 
 
 def _connection_weight(ph: PhInvariants, direction: int):
@@ -304,52 +291,6 @@ def sup_phi_sq(f: SpinorField) -> float:
     return float(f.backend.sup(f.pointwise_sq()))
 
 
-def divergence_check(v_idx: int, backend: Backend) -> float:
-    """max over grid points j of |integral of e_v(delta_j)|, delta_j the
-    indicator of point j.
-
-    These are the column sums of stencil v (V^T 1) times volume / n_points,
-    the discrete -div(e_v).  They all vanish exactly when the integral of
-    e_v(f) vanishes for every field f.  Central differences over the
-    index-permutation wraps give 0; so does the invariant backend, which has
-    no frame derivatives.
-    """
-    n = backend.n_points
-    sums = np.zeros(n, dtype=complex)
-    for idx, coef in backend.stencils[v_idx].entries():
-        np.add.at(sums, np.arange(n) if idx is None else idx, np.broadcast_to(coef, n))
-    return float(np.max(np.abs(sums))) * backend.volume / n
-
-
-@dataclass(frozen=True)
-class AdjointReport:
-    lhs: complex
-    rhs: complex
-
-    @property
-    def gap(self) -> float:
-        return abs(self.lhs - self.rhs)
-
-
-def adjoint_check(
-    f: SpinorField,
-    g: SpinorField,
-    direction: int,
-    a: GaugeField,
-    ph: PhInvariants,
-) -> AdjointReport:
-    """<nabla_v f, g> against <f, -nabla_vbar g>; div(v) = 0 on these backends.
-
-    The formal adjoint of nabla_v is -nabla_{conj(v)}: T is real while
-    Z1* = -Z1bar.
-    """
-    _check_same_backend(f, g)
-    conj_dir = {DIR_T: DIR_T, DIR_Z1: DIR_Z1BAR, DIR_Z1BAR: DIR_Z1}[direction]
-    lhs = l2_inner(cov_deriv(f, direction, a, ph), g)
-    rhs = -l2_inner(f, cov_deriv(g, conj_dir, a, ph))
-    return AdjointReport(lhs=lhs, rhs=rhs)
-
-
 def gauge_curvature_components(a: GaugeField, m: ModelStructure):
     """(da_01, da_02, da_12) of the gauge 1-form in the frame coframe.
 
@@ -386,46 +327,6 @@ def b_curvature_components(a: GaugeField, ph: PhInvariants, m: ModelStructure, e
         background(0, 1) + da01,
         background(0, 2) + da02,
     )
-
-
-def anticommutator_pair(
-    f: SpinorField, a: GaugeField, ph: PhInvariants, m: ModelStructure, eps
-):
-    """{nabla_T-block, nabla_Xi-block} applied to f, twice.
-
-    Returns (direct, closed): direct composes covariant derivatives; closed
-    evaluates the displayed endomorphism built from the torsion and the
-    half-trace curvature component F0 = F01 + i F02.  The two agree for
-    vanishing torsion (exactly modulo discretization).
-    """
-
-    def nabla_T(s: SpinorField) -> SpinorField:
-        d = cov_deriv(s, DIR_T, a, ph)
-        return SpinorField(-1j * d.alpha, 1j * d.beta1bar, s.backend)
-
-    def nabla_Xi(s: SpinorField) -> SpinorField:
-        dz1 = cov_deriv(s, DIR_Z1, a, ph)
-        dz1b = cov_deriv(s, DIR_Z1BAR, a, ph)
-        return SpinorField(2 * dz1.beta1bar, -2 * dz1b.alpha, s.backend)
-
-    direct_f = nabla_T(nabla_Xi(f)) + nabla_Xi(nabla_T(f))
-
-    f12, f01, f02 = b_curvature_components(a, ph, m, eps)
-    f0 = f01 + 1j * f02
-    a11 = ph.a11.to_complex()
-    a1b1b = ph.torsion.to_complex()
-    # the covariant derivative of the constant torsion vanishes on these
-    # homogeneous models, so only the displayed terms below survive
-    d_beta_1b = cov_deriv(f, DIR_Z1BAR, a, ph).beta1bar
-    d_alpha_1 = cov_deriv(f, DIR_Z1, a, ph).alpha
-    row0 = (
-        2j * a11 * d_beta_1b
-        + np.conj(f0) * f.beta1bar
-        - 2 * a11 * a.aZ1bar() * f.beta1bar
-    )
-    row1 = 2j * a1b1b * d_alpha_1 + f0 * f.alpha - 2 * a1b1b * a.aZ1() * f.alpha
-    closed_f = SpinorField(row0, row1, f.backend)
-    return direct_f, closed_f
 
 
 def gauge_transform(a: GaugeField, f: SpinorField, chi) -> Tuple[GaugeField, SpinorField]:

@@ -130,13 +130,6 @@ def derive_ph_invariants(m: ModelStructure) -> PhInvariants:
     return PhInvariants(omega=omega, torsion=torsion, tw_curv=tw, domega=domega)
 
 
-def gen_closed_forms(p, q) -> Tuple[InvariantForm, ExactComplex, ExactComplex]:
-    """Closed forms for gen(p,q): omega = -(p+q) theta, A = i(q-p), W = p+q."""
-    p, q = Fraction(p), Fraction(q)
-    omega = InvariantForm(1, {(0,): ExactComplex(-(p + q))})
-    return omega, ExactComplex(0, q - p), ExactComplex(p + q)
-
-
 @dataclass(frozen=True)
 class RiemannData:
     """Connection forms of h_eps in the coframe (eps e0, e1, e2)."""
@@ -263,57 +256,6 @@ def compare_scalar_curvature(m: ModelStructure, eps) -> CurvatureComparison:
     return CurvatureComparison(
         closed_form=closed, oracle=rd.scalar, gap=closed - rd.scalar, riemann=rd
     )
-
-
-def fit_curvature_relation(samples):
-    """Exact fit of R = k*W - c1*eps^2 - c2*eps^{-2}|A|^2 over samples.
-
-    samples: iterable of (model, eps).  Returns (k, c1, c2, exact) with
-    the coefficients exact; exact is True iff every sample satisfies the
-    fitted relation identically (zero residual in exact arithmetic).
-    """
-    rows = []
-    for m, eps in samples:
-        eps = Fraction(eps)
-        ph = derive_ph_invariants(m)
-        w = ph.tw_curv
-        e2 = ExactComplex(eps * eps)
-        ia2 = ExactComplex(Fraction(1, 1) / (eps * eps)) * ph.torsion.abs_sq()
-        r = scalar_curvature(m, eps)
-        rows.append((w, -e2, -ia2, r))
-
-    # pick three independent rows by exact Gaussian elimination
-    def solve3(rs):
-        a = [[rs[i][j] for j in range(3)] + [rs[i][3]] for i in range(3)]
-        n = 3
-        for col in range(n):
-            piv = next(
-                (r for r in range(col, n) if not a[r][col].is_zero()), None
-            )
-            if piv is None:
-                return None
-            a[col], a[piv] = a[piv], a[col]
-            inv = a[col][col].inverse()
-            a[col] = [x * inv for x in a[col]]
-            for r in range(n):
-                if r != col and not a[r][col].is_zero():
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return a[0][3], a[1][3], a[2][3]
-
-    import itertools
-
-    sol = None
-    for combo in itertools.combinations(range(len(rows)), 3):
-        sol = solve3([rows[i] for i in combo])
-        if sol is not None:
-            break
-    if sol is None:
-        raise SolveError("sample set does not determine the relation")
-    k, c1, c2 = sol
-    residuals = [k * w + c1 * me2 + c2 * mia2 - r for (w, me2, mia2, r) in rows]
-    exact = all(res.is_zero() for res in residuals)
-    return k, c1, c2, exact
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 from .algebra import ModelStructure, is_heisenberg
-from .errors import NotASolution, PreconditionError, SolveError, TorsionError, WrongModel
+from .errors import PreconditionError, SolveError, TorsionError, WrongModel
 from .fields import (
     DIR_T,
     DIR_Z1,
@@ -161,30 +161,12 @@ def weitzenbock_energy(s: MonopoleState, ph: PhInvariants) -> WeitzenbockReport:
     )
 
 
-# energy_identity accepts a state as a solution when its contact residual and
-# Reeb constraint are below ENERGY_TOL
-ENERGY_TOL = 1e-9
-
-
-def energy_identity(s: MonopoleState, ph: PhInvariants) -> float:
-    """grad energy + int W |Phi|^2 + int (|alpha|^2-|beta|^2)^2 for solutions.
-
-    Preconditions: the contact residual and the Reeb constraint both pass
-    ENERGY_TOL.
-    For positive Webster curvature a genuine solution forces this to vanish,
-    which in turn forces Phi = 0.
-    """
-    rr = residual_contact(s, ph)
-    if rr.total > ENERGY_TOL or rr.r_constraint > ENERGY_TOL:
-        raise NotASolution(
-            f"state is not a constrained solution: total={rr.total:.3e}, "
-            f"constraint={rr.r_constraint:.3e}"
-        )
-    return _energy(s, ph)
-
-
 def _energy(s: MonopoleState, ph: PhInvariants) -> float:
-    """The value of energy_identity, without its residual check."""
+    """grad energy + int W |Phi|^2 + int (|alpha|^2-|beta|^2)^2 of a state.
+
+    On a constrained solution with positive Webster curvature every term is
+    non-negative and the sum vanishes, which forces Phi = 0.
+    """
     rep = weitzenbock_energy(s, ph)
     b = s.backend
     phi_sq = s.phi.pointwise_sq()
@@ -225,10 +207,6 @@ class HeisenbergFamily:
         if not is_heisenberg(model):
             raise WrongModel("closed form is specific to the Heisenberg model")
         self.model = model
-
-    @staticmethod
-    def a0_for(alpha: complex, beta1bar: complex) -> float:
-        return (abs(alpha) ** 2 - abs(beta1bar) ** 2) / 2.0
 
     def membership(self, s: MonopoleState) -> FamilyMembership:
         if s.backend.kind != "invariant":
@@ -748,7 +726,6 @@ ETA_SAFEGUARD = 0.1
 LSQR_ATOL = 1e-14
 LSQR_DAMP = 1e-12
 LSQR_ITER_LIM = 3000
-LSQR_ISTOP_ITER_LIM = 7  # lsqr's istop when it stops at iter_lim
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 # A grid system with fewer rows than unknowns (the contact system without the
@@ -827,11 +804,6 @@ class SolveInfo:
     lsqr_steps: List[Tuple[int, int]] = field(default_factory=list)
     # accepted Gauss-Newton steps; reports do not carry it
     steps: int = 0
-
-    @property
-    def lsqr_capped(self) -> int:
-        """Grid steps whose lsqr call stopped at LSQR_ITER_LIM."""
-        return sum(istop == LSQR_ISTOP_ITER_LIM for istop, _ in self.lsqr_steps)
 
 
 def random_monopole_state(
@@ -1005,7 +977,7 @@ def vanishing_certificate(
             energy=None,
             report=rr,
         )
-    energy = _energy(s, ph)  # the check above is energy_identity's guard
+    energy = _energy(s, ph)  # a solution's energy: the check above passed
     sup_phi = math.sqrt(sup_phi_sq(s.phi))
     verdict = (
         "consistent-with-vanishing"

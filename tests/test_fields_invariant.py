@@ -12,19 +12,16 @@ from contactmono.fields import (
     HeisGridBackend,
     InvariantBackend,
     SpinorField,
-    adjoint_check,
-    anticommutator_pair,
     cov_deriv,
     dirac_eps,
     dirac_xi,
-    divergence_check,
     gauge_curvature_components,
     l2_inner,
     l2_norm_sq,
     sup_phi_sq,
-    zero_gauge,
 )
 from contactmono.pseudohermitian import derive_ph_invariants
+from references import adjoint_check, anticommutator_pair, divergence_check, zero_gauge
 
 HEIS = catalog_model("heisenberg")
 S3 = catalog_model("round-s3")

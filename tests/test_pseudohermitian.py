@@ -16,12 +16,11 @@ from contactmono.exact import EC_I, ExactComplex
 from contactmono.pseudohermitian import (
     compare_scalar_curvature,
     derive_ph_invariants,
-    fit_curvature_relation,
     frame_bracket_check,
-    gen_closed_forms,
     riemannian_connection,
     scalar_curvature,
 )
+from references import gen_closed_forms
 
 rat = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -210,16 +209,6 @@ def test_gap_is_eps_squared_when_torsion_free(pq, eps):
     m = gen_model(*pq)
     cmp = compare_scalar_curvature(m, eps)
     assert cmp.gap == ExactComplex(eps * eps)
-
-
-def test_fit_curvature_relation_exact():
-    models = [gen_model(*pq) for pq in [(0, 0), (1, 1), (1, -1), (2, 3), (-1, 2)]]
-    samples = [(m, e) for m in models for e in EPS_SET]
-    k, c1, c2, exact = fit_curvature_relation(samples)
-    assert k == ExactComplex(4)
-    assert c1 == ExactComplex(2)
-    assert c2 == ExactComplex(2)
-    assert exact
 
 
 def test_frame_bracket_check_catalog():

@@ -14,7 +14,6 @@ from contactmono import algebra, pseudohermitian
 from contactmono import solver as solver_mod
 from contactmono.algebra import InvariantForm, catalog_model, exterior_d, gen_model, theta
 from contactmono.errors import (
-    NotASolution,
     PreconditionError,
     SolveError,
     TorsionError,
@@ -40,7 +39,6 @@ from contactmono.solver import (
     HeisenbergFamily,
     MonopoleState,
     SolveOpts,
-    energy_identity,
     loglog_slope,
     random_monopole_state,
     residual_contact,
@@ -52,6 +50,7 @@ from contactmono.solver import (
     weitzenbock_energy,
 )
 from grid_states import constant_gauge, theta_state, trig_spinor
+from references import zero_gauge
 
 HEIS = catalog_model("heisenberg")
 S3 = catalog_model("round-s3")
@@ -158,11 +157,14 @@ def test_weitzenbock_grid_trig_states():
 def test_energy_identity_and_rejection():
     # reducible solution on round-s3 satisfies everything with value 0
     s = inv_state(S3, 0.0, 0.0, 1.0)
-    assert energy_identity(s, PH_S3) == pytest.approx(0.0, abs=1e-14)
-    # the Heisenberg alpha-solution violates the Reeb constraint
-    bad = inv_state(HEIS, 1.0, 0.0, 0.5)
-    with pytest.raises(NotASolution):
-        energy_identity(bad, PH_HEIS)
+    assert vanishing_certificate(S3, s, PH_S3).energy == pytest.approx(0.0, abs=1e-14)
+    # a contact solution from seed 1 violates the Reeb constraint: no energy
+    init = random_monopole_state(S3, InvariantBackend(S3), seed=1)
+    bad, _ = solve(S3, None, init, ph=PH_S3)
+    rr = residual_contact(bad, PH_S3)
+    assert rr.total <= 1e-10 and rr.r_constraint > 1.0
+    v = vanishing_certificate(S3, bad, PH_S3)
+    assert v.verdict == "not-a-solution" and v.energy is None
 
 
 @pytest.mark.parametrize("grid", [False, True])
@@ -185,10 +187,10 @@ def test_reports_and_solver_share_one_residual(grid, eps):
 
 def test_heisenberg_family_examples():
     fam = HeisenbergFamily(HEIS)
-    assert fam.a0_for(1.0, 0.0) == pytest.approx(0.5)
-    assert fam.a0_for(0.0, 1.0) == pytest.approx(-0.5)
+    # 2 a0 = |alpha|^2 - |beta|^2
     s = inv_state(HEIS, 1.0, 0.0, 0.5)
     assert fam.membership(s).member
+    assert fam.membership(inv_state(HEIS, 0.0, 1.0, -0.5)).member
     s2 = inv_state(HEIS, 0.0, 0.0, 0.0, a1re=3.0)  # reducible: a1 free
     assert fam.membership(s2).member
     s3 = inv_state(HEIS, 1.0, 0.0, 0.3)
@@ -266,8 +268,10 @@ def test_vanishing_certificate_paths():
     state, _ = solve(S3, None, init, SolveOpts(constraint=True))
     v = vanishing_certificate(S3, state)
     assert v.verdict == "consistent-with-vanishing"
-    # hand-built nonzero state violating the constraint: rejected
-    bad = inv_state(S3, 0.0, 1.0, 2.0)  # beta^a_{1b,0} = -2i beta != 0
+    # hand-built nonzero state off the solution set: rejected.  Its Reeb
+    # derivative beta^a_{1b,0} = i(omega(T) + a0) beta vanishes at a0 = 2; its
+    # contact residual is 3 sqrt2
+    bad = inv_state(S3, 0.0, 1.0, 2.0)
     v2 = vanishing_certificate(S3, bad)
     assert v2.verdict == "not-a-solution"
     with pytest.raises(PreconditionError):
@@ -275,8 +279,8 @@ def test_vanishing_certificate_paths():
 
 
 def test_certificate_evaluates_the_residual_once(monkeypatch):
-    # the certificate's own residual check is energy_identity's guard, so the
-    # energy is computed without a second report
+    # the certificate's own residual check tells a solution, so the energy
+    # is computed without a second report
     calls = []
     report = solver_mod._residual_report
 
@@ -503,10 +507,8 @@ def test_grid_matches_invariant_on_constant_states():
 
 
 def test_dirac_eps_eigenvector_on_grid():
-    from contactmono.fields import dirac_eps, zero_gauge
-
     b = HeisGridBackend(HEIS, 8)
-    phi0 = SpinorField(np.ones((8, 8, 8), dtype=complex), b.zero(), b)
+    phi0 = SpinorField(np.ones((8, 8, 8), dtype=complex), np.zeros((8, 8, 8), dtype=complex), b)
     out = dirac_eps(phi0, zero_gauge(b), PH_HEIS, 0.25)
     assert np.max(np.abs(out.alpha - 0.25)) == 0.0
     assert np.max(np.abs(out.beta1bar)) == 0.0
@@ -547,7 +549,7 @@ def test_grid_eps_solve_under_phase_rotation(monkeypatch, angle):
     assert residual_sw(state, PH_HEIS).total <= 1e-6
     assert info.iterations <= 20
     assert stops and all(istop != 7 for istop, _ in stops)  # 7: stopped at iter_lim
-    assert info.lsqr_steps == stops and info.lsqr_capped == 0
+    assert info.lsqr_steps == stops
     # inexact steps: solving every step to roundoff takes over 10x as many
     assert sum(itn for _, itn in stops) <= 2000
 
@@ -561,7 +563,7 @@ def test_solve_reports_capped_lsqr_calls(monkeypatch):
     _, info = solve(HEIS, None, init, SolveOpts(seed=0, max_iter=3), ph=PH_HEIS)
     assert info.lsqr_steps == stops and all(itn <= 5 for _, itn in stops)
     # the first steps meet the loose early forcing term within the cap
-    assert info.lsqr_capped == sum(istop == 7 for istop, _ in stops) >= 1
+    assert sum(istop == 7 for istop, _ in info.lsqr_steps) >= 1
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -587,7 +589,8 @@ from contactmono.solver import SolveOpts, random_monopole_state, solve
 m = catalog_model("heisenberg")
 init = random_monopole_state(m, HeisGridBackend(m, 16), seed=5)
 _, info = solve(m, None, init, SolveOpts(seed=5))
-print(json.dumps([info.converged, info.stop_reason, info.lsqr_steps, info.lsqr_capped]))
+capped = sum(istop == 7 for istop, _ in info.lsqr_steps)  # 7: stopped at iter_lim
+print(json.dumps([info.converged, info.stop_reason, info.lsqr_steps, capped]))
 """
 
 
