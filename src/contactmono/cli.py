@@ -325,6 +325,9 @@ def _solve_one(cfg: RunConfig, m, ph, backend, seed: int) -> dict:
     init = random_monopole_state(m, backend, seed=seed, eps=eps)
     opts = SolveOpts(constraint=cfg.constraint)
     state, info = solve(m, eps, init, opts, ph=ph)
+    if not info.converged:
+        # why the run exits 2, on stderr: the report keeps its bytes
+        sys.stderr.write(f"contactmono: seed {seed} did not converge: {info.stop_reason}\n")
     out = {
         "seed": seed,
         "eps": rational_str(cfg.eps) if cfg.eps is not None else None,
@@ -404,8 +407,34 @@ def sweep_csv(records: List[dict]) -> str:
     return buf.getvalue()
 
 
+def _output_paths(cfg: RunConfig) -> List[str]:
+    """The files a run writes: the report, and beside a sweep's its CSV table."""
+    if not cfg.output:
+        return []
+    if cfg.command == "sweep":
+        return [cfg.output, os.path.splitext(cfg.output)[0] + ".csv"]
+    return [cfg.output]
+
+
+def _check_writable(path: str):
+    """Raise ConfigError unless path opens for writing; a file that the
+    check creates is removed again."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        raise ConfigError(f"cannot write report: {exc}") from exc
+    if not existed:
+        os.remove(path)
+
+
 def run(cfg: RunConfig):
-    """Execute a config; returns (exit_code, report dict)."""
+    """Execute a config; returns (exit_code, report dict).
+
+    The output paths are checked before the computation, so a path that
+    cannot be written fails at once, not after a long grid solve.
+    """
     impl = {
         "derive": _cmd_derive,
         "check": _cmd_check,
@@ -413,6 +442,9 @@ def run(cfg: RunConfig):
         "solve": _cmd_solve,
         "sweep": _cmd_sweep,
     }[cfg.command]
+    paths = _output_paths(cfg)
+    for path in paths:
+        _check_writable(path)
     body = impl(cfg)
     report = {
         "version": __version__,
@@ -426,14 +458,12 @@ def run(cfg: RunConfig):
         exit_code = 2
 
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if cfg.output:
+    if paths:
+        texts = [text] + ([sweep_csv(body["records"])] if cfg.command == "sweep" else [])
         try:
-            with open(cfg.output, "w") as fh:
-                fh.write(text)
-            if cfg.command == "sweep":
-                csv_path = os.path.splitext(cfg.output)[0] + ".csv"
-                with open(csv_path, "w") as fh:
-                    fh.write(sweep_csv(body["records"]))
+            for path, content in zip(paths, texts):
+                with open(path, "w") as fh:
+                    fh.write(content)
         except OSError as exc:
             raise ConfigError(f"cannot write report: {exc}") from exc
     else:

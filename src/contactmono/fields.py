@@ -56,6 +56,17 @@ class _Stencil(tuple):
             else:
                 yield idx, coef
 
+    def matrix(self, n_points: int):
+        """The operator as a scipy CSR matrix on n_points values."""
+        import scipy.sparse as sp
+
+        local = np.arange(n_points)
+        entries = list(self.entries())
+        rows = np.tile(local, len(entries))
+        cols = np.concatenate([local if idx is None else idx for idx, _ in entries])
+        vals = np.concatenate([np.broadcast_to(coef, n_points) for _, coef in entries])
+        return sp.csr_matrix((vals, (rows, cols)), shape=(n_points, n_points))
+
     def __add__(self, other):
         return _Stencil(tuple.__add__(self, other))
 
@@ -170,6 +181,89 @@ class HeisGridBackend(Backend):
         de1 = dx + dz * (2 * y)  # the factor 2y scales the rows of dz
         de2 = central(self.yp, self.ym)
         return dz, de1, de2, 0.5 * (de1 - 1j * de2), 0.5 * (de1 + 1j * de2)
+
+    # z wraps without a twist and the y-seam shifts z by 2x, so every frame
+    # stencil commutes with z-translations: a real DFT in z splits an
+    # operator built from them into N/2+1 independent (x, y) blocks of N^2
+    # unknowns, one per kz.
+
+    def z_fourier(self, u):
+        """The z-Fourier blocks of the real field u: row kz of the
+        (N/2+1, N^2) result is its rfft over z at kz, in (x, y) order."""
+        n = self.n
+        return np.fft.rfft(np.reshape(u, self.shape), axis=2).reshape(n * n, -1).T
+
+    def z_fourier_inverse(self, blocks):
+        """The flat real field whose z_fourier is blocks."""
+        n = self.n
+        return np.fft.irfft(blocks.T.reshape(n, n, -1), n=n, axis=2).ravel()
+
+    def z_blocks(self, op):
+        """The z-Fourier blocks of a sparse N^3 operator that commutes with
+        z-translations, as one block-diagonal CSC matrix acting on
+        z_fourier(u).ravel(): block kz has the entries
+        sum_z' op[(x, y, 0), (x', y', z')] exp(2 pi i kz z' / N)."""
+        import scipy.sparse as sp
+
+        n, m = self.n, self.n**2
+        top = op.tocsr()[::n].tocoo()  # the rows at z = 0
+        col, z = np.divmod(top.col, n)
+        kz = np.arange(n // 2 + 1)[:, None]
+        vals = np.exp(2j * np.pi * (kz * z % n) / n) * top.data
+        rows, cols = kz * m + top.row, kz * m + col
+        return sp.csc_matrix(
+            (vals.ravel(), (rows.ravel(), cols.ravel())), shape=(len(kz) * m,) * 2
+        )
+
+    @cached_property
+    def _laplacian_pins(self):
+        """One point per (x mod 2, y mod 2) class, (x, y) in {0, 1}^2, in the
+        blocks kz = 0 and N/2, as indices into z_fourier(u).ravel()."""
+        n = self.n
+        return np.array(
+            [(kz * n + x) * n + y for kz in (0, n // 2) for x in (0, 1) for y in (0, 1)]
+        )
+
+    @cached_property
+    def _laplacian_lu(self):
+        """splu of the z-Fourier blocks of the frame Laplacian
+        L = sum_{k<3} S_k S_k over `stencils`, with the pinned points' rows and
+        columns replaced by the identity.  Built at the first laplacian_solve.
+
+        The blocks kz = 0 and N/2 are singular: the kernel of each is the
+        four (x mod 2, y mod 2) classes, which with z mod 2 are the 8 parity
+        modes that central differences annihilate.  L is symmetric and
+        negative semidefinite, so with one point per class pinned every
+        block is regular.
+        """
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
+        n3 = self.n_points
+        lap = sp.csr_matrix((n3, n3))
+        for s in self.stencils[:3]:
+            s = s.matrix(n3)
+            lap = lap + s @ s
+        blocks = self.z_blocks(lap)
+        keep = np.ones(blocks.shape[0])
+        keep[self._laplacian_pins] = 0.0
+        pin = sp.diags(keep)
+        return spla.splu((pin @ blocks @ pin + sp.diags(1.0 - keep)).tocsc())
+
+    def laplacian_solve(self, rhs):
+        """The minimum-norm chi with L chi = rhs, flat, for rhs in the range
+        of L (orthogonal to the parity modes), as div(a) is.
+
+        The pinned points solve to zero, and the singular blocks then lose
+        their class means, which leaves chi orthogonal to the kernel.
+        """
+        n = self.n
+        blocks = self.z_fourier(rhs).flatten()
+        blocks[self._laplacian_pins] = 0.0
+        chi = self._laplacian_lu.solve(blocks).reshape(n // 2 + 1, n // 2, 2, n // 2, 2)
+        for kz in (0, n // 2):
+            chi[kz] -= chi[kz].mean(axis=(0, 2), keepdims=True)
+        return self.z_fourier_inverse(chi.reshape(n // 2 + 1, -1))
 
     def coords(self):
         n = self.n

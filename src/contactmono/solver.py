@@ -34,7 +34,7 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 from .algebra import ModelStructure, is_heisenberg
-from .errors import PreconditionError, SolveError, TorsionError, WrongModel
+from .errors import PreconditionError, TorsionError, WrongModel
 from .fields import (
     DIR_T,
     DIR_Z1,
@@ -681,26 +681,12 @@ def _coulomb_project_grid(x: np.ndarray, b) -> np.ndarray:
     """The packed vector x with a projected to the discrete Coulomb slice and
     the base-point phase fixed.
 
-    Solves the frame Laplacian div(grad chi) = div(a) by conjugate gradients,
-    with the frame stencils as grad and _coulomb_form as div, and applies
-    gauge_transform with chi to x's slots.  Raises SolveError when CG does not
-    converge.
+    Solves the frame Laplacian div(grad chi) = div(a), with the frame
+    stencils as grad and _coulomb_form as div, directly in z-Fourier blocks
+    (HeisGridBackend.laplacian_solve, the minimum-norm chi), and applies
+    gauge_transform with chi to x's slots.
     """
-    n3 = b.n_points
-    div = _coulomb_form(b)
-    rhs = _grid_divergence(x, b)
-    rhs = rhs - rhs.mean()
-
-    def lap(v):
-        return div.value({slot: op.apply(v) for slot, op in div.lin.items()})
-
-    import scipy.sparse.linalg as spla
-
-    op = spla.LinearOperator((n3, n3), matvec=lap, dtype=float)
-    chi, info = spla.cg(op, rhs, rtol=1e-12, atol=1e-14, maxiter=300)
-    if info != 0:
-        raise SolveError(f"Coulomb gauge projection: CG stopped with info={info}")
-    chi = chi - chi.mean()
+    chi = b.laplacian_solve(_grid_divergence(x, b))
     alpha, _, beta, _, *a = _slots(x, b)
     a, phi = gauge_transform(GaugeField(*a, b), SpinorField(alpha, beta, b), chi)
     alpha, beta = phi.alpha, phi.beta1bar
@@ -716,26 +702,25 @@ def _coulomb_project_grid(x: np.ndarray, b) -> np.ndarray:
 
 # --- Gauss-Newton ---------------------------------------------------------------
 
-# The grid steps are inexact: lsqr stops once the linear residual is below
+# The grid steps are inexact: CGLS stops once the linear residual is below
 # eta_k times the nonlinear one, with the forcing term eta_k of Eisenstat &
-# Walker (1996), choice 1, safeguarded and clamped.  atol and iter_lim guard
-# lsqr itself.
+# Walker (1996), choice 1, safeguarded and clamped.  CGLS_ATOL and
+# CGLS_ITER_LIM guard CGLS itself (_cgls_step).
 ETA_START = 0.5
 ETA_MIN, ETA_MAX = 1e-6, 0.5
 ETA_SAFEGUARD = 0.1
-LSQR_ATOL = 1e-14
-LSQR_DAMP = 1e-12
-LSQR_ITER_LIM = 3000
+CGLS_ATOL = 1e-14
+CGLS_ITER_LIM = 3000
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 # A grid system with fewer rows than unknowns (the contact system without the
 # Reeb constraint: six real equations per point, Coulomb row included, for
 # seven unknowns) has a minimum-norm step, and the norm decides which solution
-# Gauss-Newton walks to.  lsqr runs on J S with S = HORIZONTAL_GAUGE_SCALE on
+# Gauss-Newton walks to.  CGLS runs on J S with S = HORIZONTAL_GAUGE_SCALE on
 # the a1re, a2re columns and 1 elsewhere, and the step is S q: horizontal
 # gauge moves count twice.  With S = 1 the contact solves end near solutions
-# whose Dirac rows barely couple to the gauge field, where lsqr stalls at its
-# cap (README, "Numerical backends").
+# whose Dirac rows barely couple to the gauge field, where the linear solve
+# stalls at its cap (README, "Numerical backends").
 HORIZONTAL_GAUGE_SCALE = 0.5
 
 
@@ -757,22 +742,48 @@ def _forcing_term(
     return min(max(eta, ETA_MIN), ETA_MAX)
 
 
-def _lsqr_step(jac, lin: _Linearisation, rhs: np.ndarray, eta: float, step_scale):
-    """lsqr on jac S, for S the diagonal step_scale (None for 1).
+def _cgls_step(jac, lin: _Linearisation, rhs: np.ndarray, eta: float, step_scale):
+    """CGLS (Bjorck 1996, sec. 7.4) on A = jac S from q = 0, for S the
+    diagonal step_scale (None for 1): (q, stop, iterations, |rhs - A q|).
 
-    jac's columns are scaled in place.  lsqr's transpose products run on the
-    CSR matrix lin.transpose(jac), which gives the same sums in the same
-    order as the CSC kernel of jac.T and is faster.
+    jac's columns are scaled in place, and the products with A^T run on the
+    CSR matrix lin.transpose(jac).  From q = 0 the iterates stay in the range
+    of A^T, so the step of a consistent underdetermined system is the
+    minimum-norm one.  The stop codes are lsqr's: 1 when |r| <= eta |rhs|,
+    2 when |A^T r| <= CGLS_ATOL ||A||_F |r| (q solves the least-squares
+    problem to roundoff), 7 after CGLS_ITER_LIM iterations, and 0 when
+    A^T rhs = 0 and q = 0 is the solution.
     """
     if step_scale is not None:
         jac.data *= step_scale[jac.indices]
     jac_t = lin.transpose(jac)
-    import scipy.sparse.linalg as spla
-
-    op = spla.LinearOperator(jac.shape, matvec=jac.dot, rmatvec=jac_t.dot, dtype=float)
-    return spla.lsqr(
-        op, rhs, damp=LSQR_DAMP, atol=LSQR_ATOL, btol=eta, iter_lim=LSQR_ITER_LIM
-    )
+    a_norm = float(np.linalg.norm(jac.data))
+    q = np.zeros(jac.shape[1])
+    r = rhs.copy()
+    s = jac_t @ r
+    p = s
+    gamma = float(s @ s)
+    r_norm = rhs_norm = float(np.linalg.norm(rhs))
+    stop, itn = 0, 0
+    while gamma > 0:
+        itn += 1
+        t = jac @ p
+        step = gamma / float(t @ t)
+        q += step * p
+        r -= step * t
+        s = jac_t @ r
+        gamma_prev, gamma = gamma, float(s @ s)
+        r_norm = float(np.linalg.norm(r))
+        if r_norm <= eta * rhs_norm:
+            stop = 1
+        elif math.sqrt(gamma) <= CGLS_ATOL * a_norm * r_norm:
+            stop = 2
+        elif itn >= CGLS_ITER_LIM:
+            stop = 7
+        if stop:
+            break
+        p = s + (gamma / gamma_prev) * p
+    return q, stop, itn, r_norm
 
 
 # the loop stops once the residual norm is below LOOP_TOL_*, and a solve has
@@ -799,9 +810,9 @@ class SolveInfo:
     # converged: the cost reached the loop tolerance; line-search-stalled: no
     # halving decreased the cost; max-iter: the loop ran out of steps
     stop_reason: str
-    # (istop, iterations) of the lsqr call of each grid step; empty for the
-    # invariant sector, whose steps are dense least squares
-    lsqr_steps: List[Tuple[int, int]] = field(default_factory=list)
+    # (stop, iterations) of the CGLS call of each grid step (_cgls_step);
+    # empty for the invariant sector, whose steps are dense least squares
+    cgls_steps: List[Tuple[int, int]] = field(default_factory=list)
     # accepted Gauss-Newton steps; reports do not carry it
     steps: int = 0
 
@@ -843,7 +854,7 @@ def solve(
     """Damped Gauss-Newton on the stacked residual, with gauge fixing.
 
     Invariant sector: exact least-squares steps.  Grid: inexact steps by
-    lsqr on the Jacobian with the Coulomb rows appended (see _forcing_term
+    CGLS on the Jacobian with the Coulomb rows appended (see _forcing_term
     and HORIZONTAL_GAUGE_SCALE).  The equation system is the backend's
     (_system), so the solves of a batch share it: its forms are built at the
     first use of (ph, eps, constraint) on the backend, and its Jacobian
@@ -881,7 +892,7 @@ def solve(
         step_scale[5 * backend.n_points :] = HORIZONTAL_GAUGE_SCALE
     eta, prev = ETA_START, None  # prev: (|F|, |F + J p|) of the last grid step
     stalled = False
-    lsqr_steps = []
+    cgls_steps = []
     steps = 0
     for iterations in range(1, opts.max_iter + 1):
         if math.sqrt(cost) <= loop_tol:
@@ -892,11 +903,11 @@ def solve(
             if prev is not None:
                 eta = _forcing_term(eta, fnorm, *prev, loop_tol)
             jac = _grid_jacobian(x, backend, lin)
-            result = _lsqr_step(jac, lin, rhs, eta, step_scale)
+            q, stop, itn, lin_norm = _cgls_step(jac, lin, rhs, eta, step_scale)
             del jac  # freed before the next step builds its own
-            p = result[0] if step_scale is None else step_scale * result[0]
-            prev = (fnorm, float(result[3]))
-            lsqr_steps.append((int(result[1]), int(result[2])))
+            p = q if step_scale is None else step_scale * q
+            prev = (fnorm, lin_norm)
+            cgls_steps.append((stop, itn))
         else:
             jac = _invariant_jacobian(x, backend, lin)
             p, *_ = np.linalg.lstsq(jac, -r, rcond=None)
@@ -931,7 +942,7 @@ def solve(
         iterations=iterations,
         report=_residual_report(final, ph),
         stop_reason=stop_reason,
-        lsqr_steps=lsqr_steps,
+        cgls_steps=cgls_steps,
         steps=steps,
     )
 

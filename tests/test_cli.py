@@ -194,6 +194,43 @@ def _one_line_error(capsys, fragment):
     assert fragment in err
 
 
+def _unreachable(*args, **kwargs):
+    raise AssertionError("the computation ran before the output was checked")
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_unwritable_output_fails_before_the_computation(command, monkeypatch, tmp_path, capsys):
+    # a bad path costs no solve: a grid batch or sweep would lose it all
+    monkeypatch.setattr(cli, "solve", _unreachable)
+    monkeypatch.setattr(cli, "sweep", _unreachable)
+    argv = [command, "--backend", "heis-grid", "--N", "8"]
+    argv += ["--seeds", "3"] if command == "solve" else ["--eps-list", "1/2,1/4"]
+    assert main(argv + ["--output", "/no/such/dir/r.json"]) == 3
+    _one_line_error(capsys, "cannot write report")
+    if command == "sweep":
+        # the CSV table beside the report cannot be written: no report either
+        (tmp_path / "r.csv").mkdir()
+        assert main(argv + ["--output", str(tmp_path / "r.json")]) == 3
+        _one_line_error(capsys, "cannot write report")
+        assert not (tmp_path / "r.json").exists()
+
+
+def test_solve_says_why_a_run_did_not_converge(tmp_path, capsys):
+    # the eps = 1/4 Heisenberg solves with the Reeb rows from seeds 1 and 2
+    # stall; seed 0 converges.  One stderr line per failed run, and the
+    # report is the one written without them
+    out = tmp_path / "r.json"
+    argv = ["solve", "--eps", "1/4", "--reeb-constraint", "--seeds", "3"]
+    assert main(argv + ["--output", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "contactmono: seed 1 did not converge: line-search-stalled",
+        "contactmono: seed 2 did not converge: line-search-stalled",
+    ]
+    report = json.loads(out.read_text())
+    assert [r["converged"] for r in report["result"]["runs"]] == [True, False, False]
+    assert "stop_reason" not in out.read_text()
+
+
 # gen(p, 1) with p = 10^400: the exact model is fine, its float lowering is not
 HUGE_P = '{"name": "g", "p": "1e400", "q": "1"}'
 

@@ -268,3 +268,36 @@ def test_anticommutator_grid_with_gauge_curvature():
         scales.append(float(np.max(np.abs(closed.alpha))))
     assert scales[0] > 0.1  # the endomorphism is genuinely nonzero
     assert gaps[0] / gaps[1] > 3.0  # O(h^2)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_z_blocks_apply_the_frame_operators(n):
+    # every frame stencil commutes with z-translations, so its z-Fourier
+    # blocks apply it exactly: T, e1, e2 and div(grad) = sum_k S_k S_k, the
+    # Laplacian of the Coulomb projection, against apply on random fields
+    b = HeisGridBackend(HEIS, n)
+    rng = np.random.default_rng(n)
+    u = rng.normal(size=b.n_points)
+    assert np.allclose(b.z_fourier_inverse(b.z_fourier(u)), u, rtol=0, atol=1e-14)
+    mats = [s.matrix(b.n_points) for s in b.stencils[:3]]
+    ops = [(m, s.apply(u)) for m, s in zip(mats, b.stencils[:3])]
+    ops.append((sum(m @ m for m in mats), sum(s.apply(s.apply(u)) for s in b.stencils[:3])))
+    for mat, want in ops:
+        blocks = b.z_blocks(mat) @ b.z_fourier(u).ravel()
+        got = b.z_fourier_inverse(blocks.reshape(n // 2 + 1, n * n))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_laplacian_solve_inverts_on_the_range():
+    # L chi = rhs for rhs orthogonal to the 8 parity modes, and chi is
+    # orthogonal to them too: the minimum-norm solution
+    b = HeisGridBackend(HEIS, 8)
+    rng = np.random.default_rng(3)
+    parity = np.indices(b.shape) % 2
+    classes = (parity[0] * 4 + parity[1] * 2 + parity[2]).ravel()
+    rhs = rng.normal(size=b.n_points)
+    rhs -= (np.bincount(classes, rhs) / np.bincount(classes))[classes]
+    chi = b.laplacian_solve(rhs)
+    lap = sum(s.apply(s.apply(chi)) for s in b.stencils[:3])
+    assert np.max(np.abs(lap - rhs)) <= 1e-12 * np.max(np.abs(rhs))
+    assert np.max(np.abs(np.bincount(classes, chi))) <= 1e-12 * np.max(np.abs(chi))

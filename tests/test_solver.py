@@ -15,7 +15,6 @@ from contactmono import solver as solver_mod
 from contactmono.algebra import InvariantForm, catalog_model, exterior_d, gen_model, theta
 from contactmono.errors import (
     PreconditionError,
-    SolveError,
     TorsionError,
     WrongModel,
 )
@@ -517,17 +516,17 @@ def test_dirac_eps_eigenvector_on_grid():
 # --- heis-grid inexact Gauss-Newton -------------------------------------------------
 
 
-def _record_lsqr(monkeypatch):
-    """Wrap scipy's lsqr; returns the list of its (istop, iterations)."""
+def _record_cgls(monkeypatch):
+    """Wrap the solver's CGLS step; returns the list of its (stop, iterations)."""
     stops = []
-    lsqr = spla.lsqr
+    cgls = solver_mod._cgls_step
 
-    def recording(*args, **kwargs):
-        out = lsqr(*args, **kwargs)
-        stops.append((out[1], out[2]))
+    def recording(*args):
+        out = cgls(*args)
+        stops.append(out[1:3])
         return out
 
-    monkeypatch.setattr(spla, "lsqr", recording)
+    monkeypatch.setattr(solver_mod, "_cgls_step", recording)
     return stops
 
 
@@ -543,27 +542,27 @@ def test_grid_eps_solve_under_phase_rotation(monkeypatch, angle):
         model=HEIS,
         eps=0.5,
     )
-    stops = _record_lsqr(monkeypatch)
+    stops = _record_cgls(monkeypatch)
     state, info = solve(HEIS, 0.5, init, SolveOpts(seed=0), ph=PH_HEIS)
     assert info.converged and info.stop_reason == "converged"
     assert residual_sw(state, PH_HEIS).total <= 1e-6
     assert info.iterations <= 20
-    assert stops and all(istop != 7 for istop, _ in stops)  # 7: stopped at iter_lim
-    assert info.lsqr_steps == stops
+    assert stops and all(stop != 7 for stop, _ in stops)  # 7: stopped at the cap
+    assert info.cgls_steps == stops
     # inexact steps: solving every step to roundoff takes over 10x as many
     assert sum(itn for _, itn in stops) <= 2000
 
 
 def test_solve_reports_capped_lsqr_calls(monkeypatch):
-    # a step whose lsqr stops at its iteration cap says so in SolveInfo
-    monkeypatch.setattr(solver_mod, "LSQR_ITER_LIM", 5)
+    # a step whose CGLS stops at its iteration cap says so in SolveInfo
+    monkeypatch.setattr(solver_mod, "CGLS_ITER_LIM", 5)
     b = HeisGridBackend(HEIS, 8)
     init = random_monopole_state(HEIS, b, seed=0)
-    stops = _record_lsqr(monkeypatch)
+    stops = _record_cgls(monkeypatch)
     _, info = solve(HEIS, None, init, SolveOpts(seed=0, max_iter=3), ph=PH_HEIS)
-    assert info.lsqr_steps == stops and all(itn <= 5 for _, itn in stops)
+    assert info.cgls_steps == stops and all(itn <= 5 for _, itn in stops)
     # the first steps meet the loose early forcing term within the cap
-    assert sum(istop == 7 for istop, _ in info.lsqr_steps) >= 1
+    assert sum(stop == 7 for stop, _ in info.cgls_steps) >= 1
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -571,13 +570,27 @@ def test_grid_contact_solve_seed0_converges(monkeypatch, n):
     b = HeisGridBackend(HEIS, n)
     init = random_monopole_state(HEIS, b, seed=0)
     opts = SolveOpts(seed=0)
-    stops = _record_lsqr(monkeypatch)
+    stops = _record_cgls(monkeypatch)
     state, info = solve(HEIS, None, init, opts, ph=PH_HEIS)
     assert info.converged
     assert info.iterations < opts.max_iter
     assert residual_contact(state, PH_HEIS).total <= 1e-6
     # with equal weights on all unknowns the N=16 end game stalls at the cap
-    assert all(istop != 7 for istop, _ in stops)
+    assert all(stop != 7 for stop, _ in stops)
+
+
+def test_cgls_stops_at_a_least_squares_solution(monkeypatch):
+    # the sixth step of the N=8 eps = 1/2 solve from seed 2 is inconsistent
+    # below its forcing term: CGLS ends it on stop 2, |A^T r| at roundoff,
+    # and without that test it would run to the cap
+    init = random_monopole_state(HEIS, HeisGridBackend(HEIS, 8), seed=2, eps=0.5)
+    _, info = solve(HEIS, 0.5, init, SolveOpts(max_iter=6), ph=PH_HEIS)
+    stop, itn = info.cgls_steps[5]
+    assert stop == 2 and 1000 < itn < solver_mod.CGLS_ITER_LIM
+    assert all(stop == 1 for stop, _ in info.cgls_steps[:5])
+    monkeypatch.setattr(solver_mod, "CGLS_ATOL", 0.0)
+    _, info = solve(HEIS, 0.5, init, SolveOpts(max_iter=6), ph=PH_HEIS)
+    assert info.cgls_steps[5] == (7, solver_mod.CGLS_ITER_LIM)
 
 
 SEED5_SOLVE = """
@@ -589,17 +602,17 @@ from contactmono.solver import SolveOpts, random_monopole_state, solve
 m = catalog_model("heisenberg")
 init = random_monopole_state(m, HeisGridBackend(m, 16), seed=5)
 _, info = solve(m, None, init, SolveOpts(seed=5))
-capped = sum(istop == 7 for istop, _ in info.lsqr_steps)  # 7: stopped at iter_lim
-print(json.dumps([info.converged, info.stop_reason, info.lsqr_steps, capped]))
+capped = sum(stop == 7 for stop, _ in info.cgls_steps)  # 7: stopped at the cap
+print(json.dumps([info.converged, info.stop_reason, info.cgls_steps, capped]))
 """
 
 
 @pytest.mark.slow
 def test_grid_contact_solve_seed5_capped_steps():
-    # the longest lsqr path known, N=16 contact from seed 5: its last two
-    # steps stop at LSQR_ITER_LIM.  BLAS threads split lsqr's dot products and
-    # move its roundoff (with two threads it takes 10 steps, 3 capped), so it
-    # runs on one thread, as the benchmark does.
+    # the longest Krylov path known, N=16 contact from seed 5: its last three
+    # steps stop at CGLS_ITER_LIM.  BLAS threads split the dot products and
+    # move their roundoff (with two threads it takes 12 steps, 5 capped), so
+    # it runs on one thread, as the benchmark does.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     out = subprocess.run(
@@ -607,8 +620,11 @@ def test_grid_contact_solve_seed5_capped_steps():
     )
     converged, stop_reason, steps, capped = json.loads(out.stdout)
     assert converged and stop_reason == "converged"
-    assert steps == [[1, 2], [1, 6], [1, 30], [1, 59], [1, 58], [1, 77], [7, 3000], [7, 3000]]
-    assert capped == 2
+    assert steps == [
+        [1, 2], [1, 6], [1, 30], [1, 59], [1, 58], [1, 81], [1, 741],
+        [7, 3000], [7, 3000], [7, 3000],
+    ]
+    assert capped == 3
 
 
 @pytest.mark.parametrize("eps", [None, 0.5])
@@ -847,20 +863,34 @@ def test_compiled_linearisation_matches_fresh_assembly(model, kind, eps, constra
 
 
 @pytest.mark.parametrize("eps", [None, 0.5])
-def test_lsqr_step_matches_lsqr_on_the_matrix(eps):
-    # the CSR transpose gives lsqr the same products as scipy's CSC kernel
-    b = HeisGridBackend(HEIS, 8)
-    s = random_monopole_state(HEIS, b, seed=3, eps=eps)
-    lin = solver_mod._Linearisation(solver_mod._forms(s, PH_HEIS, False))
-    x = solver_mod._pack(s)
-    rhs = np.random.default_rng(2).normal(size=lin.jacobian(x, b).shape[0])
-    scale = np.full(7 * b.n_points, 0.5)
-    jac = lin.jacobian(x, b)
-    jac.data *= scale[jac.indices]
-    want = spla.lsqr(jac, rhs, damp=1e-12, atol=1e-14, btol=1e-6, iter_lim=3000)
-    got = solver_mod._lsqr_step(lin.jacobian(x, b), lin, rhs, 1e-6, scale)
-    assert got[1:4] == want[1:4] and got[2] > 10
-    assert got[0].tobytes() == want[0].tobytes()
+def test_lsqr_step_matches_lsqr_on_the_matrix(monkeypatch, eps):
+    # CGLS on the step systems of the first six N=8 steps from seed 0 stops
+    # where scipy's lsqr does, and both walk to the minimum-norm solution
+    systems = []
+    cgls = solver_mod._cgls_step
+
+    def recording(jac, lin, rhs, eta, step_scale):
+        systems.append((jac.copy(), lin, rhs, eta, step_scale))
+        return cgls(jac, lin, rhs, eta, step_scale)
+
+    monkeypatch.setattr(solver_mod, "_cgls_step", recording)
+    init = random_monopole_state(HEIS, HeisGridBackend(HEIS, 8), seed=0, eps=eps)
+    solve(HEIS, eps, init, SolveOpts(max_iter=6), ph=PH_HEIS)
+    assert len(systems) == 6
+    for jac, lin, rhs, eta, scale in systems:
+        scaled = jac.copy()
+        if scale is not None:
+            scaled.data *= scale[scaled.indices]
+        q, stop, itn, r_norm = cgls(jac.copy(), lin, rhs, eta, scale)
+        true_norm = np.linalg.norm(rhs - scaled @ q)
+        assert stop == 1 and true_norm <= eta * np.linalg.norm(rhs)
+        assert abs(r_norm - true_norm) <= 1e-10 * true_norm
+        want = spla.lsqr(scaled, rhs, atol=solver_mod.CGLS_ATOL, btol=eta, iter_lim=3000)
+        assert want[1] == 1 and abs(itn - want[2]) <= 2
+    assert itn > 40
+    q = cgls(jac.copy(), lin, rhs, 1e-10, scale)[0]
+    want = spla.lsqr(scaled, rhs, atol=solver_mod.CGLS_ATOL, btol=1e-10, iter_lim=3000)[0]
+    assert np.linalg.norm(q - want) <= 1e-8 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("grid", [False, True])
@@ -876,7 +906,7 @@ def test_solve_assembles_linear_part_once(monkeypatch, grid):
     if grid:
         init = random_monopole_state(HEIS, HeisGridBackend(HEIS, 8), seed=0, eps=0.5)
         _, info = solve(HEIS, 0.5, init, SolveOpts(seed=0), ph=PH_HEIS)
-        steps = len(info.lsqr_steps)
+        steps = len(info.cgls_steps)
     else:
         init = random_monopole_state(S3, InvariantBackend(S3), seed=1)
         _, info = solve(S3, None, init, SolveOpts(constraint=True), ph=PH_S3)
@@ -963,7 +993,7 @@ def test_solve_info_counts_accepted_steps():
     init = random_monopole_state(HEIS, HeisGridBackend(HEIS, 8), seed=0, eps=0.5)
     _, info = solve(HEIS, 0.5, init, SolveOpts(seed=0), ph=PH_HEIS)
     assert info.stop_reason == "converged"
-    assert info.steps == len(info.lsqr_steps) == 10 and info.iterations == 11
+    assert info.steps == len(info.cgls_steps) == 10 and info.iterations == 11
     init = random_monopole_state(S3, InvariantBackend(S3), seed=1)
     _, info = solve(S3, None, init, SolveOpts(constraint=True), ph=PH_S3)
     assert info.stop_reason == "converged" and info.steps == info.iterations - 1 >= 3
@@ -1038,7 +1068,7 @@ def test_coulomb_projection_is_a_gauge_transformation():
     x = solver_mod._pack(random_monopole_state(HEIS, b, seed=0, eps=0.5))
     y = solver_mod._coulomb_project_grid(x, b)
     before, after = solver_mod._grid_divergence(x, b), solver_mod._grid_divergence(y, b)
-    assert np.max(np.abs(after)) <= 1e-9 * np.max(np.abs(before))
+    assert np.max(np.abs(after)) <= 1e-12 * np.max(np.abs(before))
     (alpha, _, beta, _, *a), (alpha2, _, beta2, _, *a2) = (
         solver_mod._slots(v, b) for v in (x, y)
     )
@@ -1052,16 +1082,56 @@ def test_coulomb_projection_is_a_gauge_transformation():
     assert np.allclose([a_t.a0, a_t.a1re, a_t.a2re], a2, rtol=0, atol=1e-13)
 
 
-def test_coulomb_projection_fails_loudly(monkeypatch):
+def _dense_laplacian(b):
+    """div(grad) = sum_{k<3} S_k S_k as a dense matrix, column by column
+    through the stencils' apply."""
+    n3 = b.n_points
+    cols = []
+    for j in range(n3):
+        e = np.zeros(n3)
+        e[j] = 1.0
+        cols.append(sum(op.apply(op.apply(e)) for op in b.stencils[:3]))
+    return np.array(cols).T
+
+
+def test_coulomb_projection_matches_dense_minimum_norm():
+    # the direct kz-block solve against least squares on the dense Laplacian:
+    # the same minimum-norm chi, and the projection moves a by -grad chi
     b = HeisGridBackend(HEIS, 8)
-    s = random_monopole_state(HEIS, b, seed=0, eps=0.5)
-    monkeypatch.setattr(
-        spla, "cg", lambda op, rhs, **kw: (np.zeros_like(rhs), 1)
-    )
-    with pytest.raises(SolveError):
-        solver_mod._coulomb_project_grid(solver_mod._pack(s), b)
-    with pytest.raises(SolveError):
-        solve(HEIS, 0.5, s, SolveOpts(seed=0), ph=PH_HEIS)
+    rng = np.random.default_rng(11)
+    s = random_monopole_state(HEIS, b, seed=1)
+    x = solver_mod._pack(s)
+    x[4 * b.n_points :] += rng.normal(size=3 * b.n_points)  # a rough gauge field
+    div = solver_mod._grid_divergence(x, b)
+    lap = _dense_laplacian(b)
+    assert np.linalg.matrix_rank(lap, tol=1e-8 * np.abs(lap).max()) == b.n_points - 8
+    want = np.linalg.lstsq(lap, div, rcond=1e-8)[0]
+    chi = b.laplacian_solve(div)
+    assert np.linalg.norm(chi - want) <= 1e-10 * np.linalg.norm(want)
+    y = solver_mod._coulomb_project_grid(x, b)
+    a_want = [a - op.apply(want) for a, op in zip(x.reshape(7, -1)[4:], b.stencils[:3])]
+    assert np.allclose(y.reshape(7, -1)[4:], a_want, rtol=0, atol=1e-10)
+
+
+def test_laplacian_factor_is_built_once_at_the_first_projection(monkeypatch):
+    # never at set-up, and one factor per backend for a batch of seeds
+    calls = []
+    splu = spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    b = HeisGridBackend(HEIS, 8)
+    init = random_monopole_state(HEIS, b, seed=0)
+    assert not calls
+    solver_mod._coulomb_project_grid(solver_mod._pack(init), b)
+    solver_mod._coulomb_project_grid(solver_mod._pack(init), b)
+    assert len(calls) == 1
+    calls.clear()
+    runs = _cli_runs({"command": "solve", "backend": "heis-grid", "N": 8, "seeds": 3})
+    assert len(runs) == 3 and len(calls) == 1
 
 
 def test_lowered_background_keeps_curvature_bit_identical():
