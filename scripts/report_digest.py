@@ -112,13 +112,14 @@ def grid_state_sha256(config) -> str:
     """
     cfg = parse_config(config)
     m = catalog_model(cfg.model)
+    ph = derive_ph_invariants(m)
     eps = float(cfg.eps) if cfg.eps is not None else None
     backend = HeisGridBackend(m, cfg.N)
     data = []
     for seed in range(cfg.seed, cfg.seed + cfg.seeds):
         init = solver.random_monopole_state(m, backend, seed=seed, eps=eps)
         opts = solver.SolveOpts(seed=seed, constraint=cfg.constraint)
-        state, _ = solver.solve(m, eps, init, opts)
+        state, _ = solver.solve(m, eps, init, opts, ph=ph)
         named = {
             "a0": state.a.a0,
             "a1re": state.a.a1re,

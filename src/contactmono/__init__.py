@@ -41,7 +41,6 @@ from .fields import (
     cov_deriv,
     dirac_eps,
     dirac_xi,
-    l2_inner,
 )
 from .pseudohermitian import (
     PhInvariants,
@@ -65,7 +64,6 @@ from .solver import (
     solve,
     sweep,
     vanishing_certificate,
-    weitzenbock_energy,
 )
 
 __all__ = [
@@ -96,7 +94,6 @@ __all__ = [
     "cov_deriv",
     "dirac_eps",
     "dirac_xi",
-    "l2_inner",
     "PhInvariants",
     "RiemannData",
     "compare_scalar_curvature",
@@ -116,5 +113,4 @@ __all__ = [
     "solve",
     "sweep",
     "vanishing_certificate",
-    "weitzenbock_energy",
 ]

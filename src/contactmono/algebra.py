@@ -103,12 +103,10 @@ class InvariantForm:
         vs = [tuple(ExactComplex.coerce(c) for c in v) for v in vectors]
         if self.degree == 1:
             (v,) = vs
-            return sum(
-                (self.coeff(i) * v[i] for i in range(3)), ExactComplex(0)
-            )
+            return sum((self.coeff(i) * v[i] for i in range(3)), EC_ZERO)
         if self.degree == 2:
             v, w = vs
-            total = ExactComplex(0)
+            total = EC_ZERO
             for j, k in PAIRS:
                 total = total + self.coeff(j, k) * (v[j] * w[k] - v[k] * w[j])
             return total
@@ -124,7 +122,7 @@ class InvariantForm:
             raise DegreeError("degree mismatch in addition")
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            out[k] = out.get(k, ExactComplex(0)) + v
+            out[k] = out.get(k, EC_ZERO) + v
         return InvariantForm(self.degree, out)
 
     def __neg__(self):
@@ -177,7 +175,7 @@ def theta1bar() -> InvariantForm:
 # complex frame vectors as coefficient triples over (e0, e1, e2)
 Z1 = (ExactComplex(0), ExactComplex(Fraction(1, 2)), ExactComplex(0, Fraction(-1, 2)))
 Z1BAR = (ExactComplex(0), ExactComplex(Fraction(1, 2)), ExactComplex(0, Fraction(1, 2)))
-T_VEC = (EC_ONE, ExactComplex(0), ExactComplex(0))
+T_VEC = (EC_ONE, EC_ZERO, EC_ZERO)
 
 
 def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
@@ -191,8 +189,8 @@ def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
             sign, key = _sort_sign(ka + kb)
             if sign == 0:
                 continue
-            term = va * vb * ExactComplex(sign)
-            out[key] = out.get(key, ExactComplex(0)) + term
+            term = va * vb if sign > 0 else -(va * vb)
+            out[key] = out.get(key, EC_ZERO) + term
     return InvariantForm(deg, out)
 
 
@@ -205,8 +203,7 @@ def interior(idx: int, a: InvariantForm) -> InvariantForm:
         for pos, i in enumerate(key):
             if i == idx:
                 rest = key[:pos] + key[pos + 1 :]
-                sign = ExactComplex(1 if pos % 2 == 0 else -1)
-                out[rest] = out.get(rest, ExactComplex(0)) + sign * v
+                out[rest] = out.get(rest, EC_ZERO) + (v if pos % 2 == 0 else -v)
                 break
     return InvariantForm(a.degree - 1, out)
 
@@ -241,12 +238,10 @@ class ModelStructure:
     def bracket(self, j: int, k: int):
         """[e_j, e_k] as a frame-coefficient triple; de^i(X,Y) = -e^i([X,Y])."""
         if j == k:
-            return (ExactComplex(0),) * 3
-        sign = 1 if j < k else -1
-        jj, kk = min(j, k), max(j, k)
-        return tuple(
-            ExactComplex(-sign) * self.c[(i, (jj, kk))] for i in range(3)
-        )
+            return (EC_ZERO,) * 3
+        if j < k:
+            return tuple(-self.c[(i, (j, k))] for i in range(3))
+        return tuple(self.c[(i, (k, j))] for i in range(3))
 
     def c_float(self, i: int, j: int, k: int) -> float:
         """c^i_jk as a float, antisymmetric in (j, k)."""
@@ -294,8 +289,8 @@ def hodge_star_eps(a: InvariantForm, eps: Fraction) -> InvariantForm:
     out: Dict[Monomial, ExactComplex] = {}
     for key, v in a.coeffs.items():
         p, target, sign = _STAR_TABLE[key]
-        factor = ExactComplex(eps if p == 1 else Fraction(1, 1) / eps) * ExactComplex(sign)
-        out[target] = out.get(target, ExactComplex(0)) + v * factor
+        factor = ExactComplex(sign * (eps if p == 1 else Fraction(1, 1) / eps))
+        out[target] = out.get(target, EC_ZERO) + v * factor
     return InvariantForm(3 - a.degree, out)
 
 

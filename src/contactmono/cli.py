@@ -224,7 +224,7 @@ def _cmd_derive(cfg: RunConfig) -> dict:
     m = _resolve_model(cfg.model)
     eps = cfg.eps or Fraction(1)
     ph = derive_ph_invariants(m)
-    cmp = compare_scalar_curvature(m, eps)
+    cmp = compare_scalar_curvature(m, ph, eps)
     return {
         "model": m.name,
         "omega": _form_table(ph.omega),
@@ -239,7 +239,7 @@ def _cmd_derive(cfg: RunConfig) -> dict:
 def _cmd_curvature(cfg: RunConfig) -> dict:
     m = _resolve_model(cfg.model)
     eps = cfg.eps or Fraction(1)
-    cmp = compare_scalar_curvature(m, eps)
+    cmp = compare_scalar_curvature(m, derive_ph_invariants(m), eps)
     rd = cmp.riemann
     forms = {}
     for (j, i) in ((0, 1), (0, 2), (1, 2)):
@@ -275,12 +275,12 @@ def _cmd_check(cfg: RunConfig) -> dict:
     match = gamma_from_wedge_interior().mats == gamma_can().mats
     suites["gamma_wedge_interior_match"] = _suite(True, [] if match else ["matrix mismatch"])
 
-    rep = compatibility_check(m, ph, 1, zero, "pseudohermitian", "rotation-ph")
+    rep = compatibility_check(m, ph, 1, zero, "pseudohermitian", "rotation")
     suites["compat_pseudohermitian"] = _suite(True, rep.failures)
 
     lc_fail = []
     for e in eps_set:
-        r = compatibility_check(m, ph, e, zero, "levi-civita", "rotation-eps")
+        r = compatibility_check(m, ph, e, zero, "levi-civita", "rotation")
         lc_fail += [f"eps={e}: {x}" for x in r.failures]
     suites["compat_levicivita_rotation"] = _suite(torsion_free, lc_fail)
 
@@ -295,7 +295,7 @@ def _cmd_check(cfg: RunConfig) -> dict:
         torsion_free, [] if ok_unitary else ["base + base^dagger != 0"]
     )
 
-    br = frame_bracket_check(m)
+    br = frame_bracket_check(m, ph)
     suites["frame_brackets"] = _suite(
         True,
         [
@@ -346,7 +346,7 @@ def _solve_one(cfg: RunConfig, m, ph, backend, seed: int) -> dict:
         if is_heisenberg(m) and cfg.eps is None:
             out["family_membership"] = HeisenbergFamily(m).membership(state).as_dict()
     if cfg.eps is None and ph.tw_curv.is_real() and ph.tw_curv.real_sign() > 0:
-        out["certificate"] = vanishing_certificate(m, state, ph).as_dict()
+        out["certificate"] = vanishing_certificate(state, info.report, ph).as_dict()
     return out
 
 

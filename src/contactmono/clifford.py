@@ -272,17 +272,19 @@ FRAME_VECS = (
 )
 
 
-def _coframe_derivatives(reference: str, ph: PhInvariants, eps: Fraction, m: ModelStructure):
+def _coframe_derivatives(
+    reference: str, flavor: str, ph: PhInvariants, eps: Fraction, m: ModelStructure
+):
     """nabla_{e_v} e^w as invariant 1-form combinations, per reference.
 
     reference "rotation": nabla e1 = s e2, nabla e2 = -s e1, nabla e0 = 0,
-    with s = omega (pseudohermitian flavor) or omega + eps theta.
+    with s = omega (pseudohermitian flavor) or omega + eps theta (levi-civita).
     reference "h-metric": the literal adapted-metric connection forms.
     Returns {(w, v): {covector index: coefficient}} where index 0 refers to
     the eps-scaled e0.
     """
-    if reference in ("rotation-ph", "rotation-eps"):
-        s = ph.omega if reference == "rotation-ph" else ph.omega + ExactComplex(eps) * theta()
+    if reference == "rotation":
+        s = ph.omega if flavor == "pseudohermitian" else ph.omega + ExactComplex(eps) * theta()
         out = {}
         for v in range(3):
             sval = s.eval_vectors(FRAME_VECS[v])
@@ -330,7 +332,7 @@ def compatibility_check(
     cc = conn_coeffs(ph, eps, a, flavor)
     rep = gamma_can() if flavor == "pseudohermitian" else rho_eps(eps)
     gens = [1, 2] if flavor == "pseudohermitian" else [0, 1, 2]
-    derivs = _coframe_derivatives(reference, ph, eps, m)
+    derivs = _coframe_derivatives(reference, flavor, ph, eps, m)
     failures = []
     for v in range(3):
         a_v = cc.evaluate(FRAME_VECS[v])

@@ -366,17 +366,6 @@ def dirac_eps(f: SpinorField, a: GaugeField, ph: PhInvariants, eps) -> SpinorFie
     return SpinorField(comp0, comp1, f.backend)
 
 
-def l2_inner(f: SpinorField, g: SpinorField) -> complex:
-    """Hermitian L^2 pairing with volume density 2 on the fundamental domain."""
-    _check_same_backend(f, g)
-    integrand = f.alpha * _conj(g.alpha) + f.beta1bar * _conj(g.beta1bar)
-    return f.backend.integrate(integrand)
-
-
-def l2_norm_sq(f: SpinorField) -> float:
-    return l2_inner(f, f).real
-
-
 def scalar_l2_norm_sq(backend: Backend, values) -> float:
     return backend.integrate(values * _conj(values)).real
 

@@ -30,7 +30,7 @@ from .algebra import (
     wedge,
 )
 from .errors import SolveError
-from .exact import EC_I, ExactComplex
+from .exact import EC_I, EC_ONE, EC_ZERO, ExactComplex
 
 _HALF = Fraction(1, 2)
 
@@ -135,8 +135,8 @@ class RiemannData:
     """Connection forms of h_eps in the coframe (eps e0, e1, e2)."""
 
     conn: Dict[Tuple[int, int], InvariantForm]  # (lower j, upper i) for j < i
-    scalar: ExactComplex
     eps: Fraction
+    model: ModelStructure
 
     def form(self, j: int, i: int) -> InvariantForm:
         """omega_j^i with antisymmetry omega_j^i = -omega_i^j."""
@@ -145,6 +145,32 @@ class RiemannData:
         if j < i:
             return self.conn[(j, i)]
         return -self.conn[(i, j)]
+
+    @cached_property
+    def scalar(self) -> ExactComplex:
+        """Scalar curvature via the second structural equation.
+
+        Omega^i_j = d omega_j^i + omega_k^i ^ omega_j^k; sectional curvature
+        K_ij = Omega^i_j(f_i, f_j) with Omega^i_j(X,Y) = <R(X,Y) f_j, f^i>,
+        and R = 2 * (K_01 + K_02 + K_12).  Computed at the first read.
+        """
+        f = _frame_vectors(self.eps)
+        total = EC_ZERO
+        for (i, j) in PAIRS:  # pairs (i < j); K(f_i, f_j) = Omega^i_j(f_i, f_j)
+            curv = exterior_d(self.form(j, i), self.model)
+            for k in range(3):
+                curv = curv + wedge(self.form(k, i), self.form(j, k))
+            total = total + curv.eval_vectors(f[i], f[j])
+        return ExactComplex(2) * total
+
+
+def _frame_vectors(eps: Fraction):
+    inv = ExactComplex(Fraction(1, 1) / eps)
+    return (
+        (inv, EC_ZERO, EC_ZERO),  # f_0 = eps^{-1} e_0
+        (EC_ZERO, EC_ONE, EC_ZERO),
+        (EC_ZERO, EC_ZERO, EC_ONE),
+    )
 
 
 def _eps_coframe_constants(m: ModelStructure, eps: Fraction):
@@ -167,9 +193,8 @@ def riemannian_connection(m: ModelStructure, eps) -> RiemannData:
 
     def s(i, j, k):  # antisymmetric extension of c_hat^i_{jk}
         if j == k:
-            return ExactComplex(0)
-        sign = 1 if j < k else -1
-        return ExactComplex(sign) * c_hat[(i, (min(j, k), max(j, k)))]
+            return EC_ZERO
+        return c_hat[(i, (j, k))] if j < k else -c_hat[(i, (k, j))]
 
     half = ExactComplex(_HALF)
 
@@ -189,40 +214,7 @@ def riemannian_connection(m: ModelStructure, eps) -> RiemannData:
             form = form + gamma(i, j, k) * f_basis[k]
         conn[(j, i)] = form
 
-    data = RiemannData(conn=conn, scalar=ExactComplex(0), eps=eps)
-    scalar = _scalar_from_curvature_forms(m, data)
-    return RiemannData(conn=conn, scalar=scalar, eps=eps)
-
-
-def _frame_vectors(eps: Fraction):
-    inv = ExactComplex(Fraction(1, 1) / eps)
-    return (
-        (inv, ExactComplex(0), ExactComplex(0)),  # f_0 = eps^{-1} e_0
-        (ExactComplex(0), ExactComplex(1), ExactComplex(0)),
-        (ExactComplex(0), ExactComplex(0), ExactComplex(1)),
-    )
-
-
-def _scalar_from_curvature_forms(m: ModelStructure, data: RiemannData) -> ExactComplex:
-    """Scalar curvature via the second structural equation.
-
-    Omega^i_j = d omega_j^i + omega_k^i ^ omega_j^k; sectional curvature
-    K_ij = Omega^i_j(f_i, f_j) with Omega^i_j(X,Y) = <R(X,Y) f_j, f^i>,
-    and R = 2 * (K_01 + K_02 + K_12).
-    """
-    f = _frame_vectors(data.eps)
-
-    def omega_lu(j, i):  # omega with lower j, upper i
-        return data.form(j, i)
-
-    total = ExactComplex(0)
-    for (i, j) in PAIRS:  # pairs (i < j); K(f_i, f_j) = Omega^i_j(f_i, f_j)
-        curv = exterior_d(omega_lu(j, i), m)
-        for k in range(3):
-            curv = curv + wedge(omega_lu(k, i), omega_lu(j, k))
-        k_ij = curv.eval_vectors(f[i], f[j])
-        total = total + k_ij
-    return ExactComplex(2) * total
+    return RiemannData(conn=conn, eps=eps, model=m)
 
 
 def scalar_curvature(m: ModelStructure, eps) -> ExactComplex:
@@ -238,14 +230,13 @@ class CurvatureComparison:
     riemann: RiemannData  # the metric connection the oracle was computed from
 
 
-def compare_scalar_curvature(m: ModelStructure, eps) -> CurvatureComparison:
+def compare_scalar_curvature(m: ModelStructure, ph: PhInvariants, eps) -> CurvatureComparison:
     """Report the closed-form relation against the independent curvature route.
 
-    Never asserts equality: on the gen family the oracle doubles both
-    lower-order coefficients, R = 4W - 2 eps^2 - 2 eps^{-2}|A|^2.
+    ph holds m's invariants.  Never asserts equality: on the gen family the
+    oracle doubles both lower-order coefficients, R = 4W - 2 eps^2 - 2 eps^{-2}|A|^2.
     """
     eps = Fraction(eps)
-    ph = derive_ph_invariants(m)
     a_sq = ph.torsion.abs_sq()
     closed = (
         ExactComplex(4) * ph.tw_curv
@@ -283,13 +274,13 @@ def _complex_bracket(m: ModelStructure, v, w):
     return tuple(out)
 
 
-def frame_bracket_check(m: ModelStructure) -> BracketReport:
-    """Check the two commutation identities of the invariant frame.
+def frame_bracket_check(m: ModelStructure, ph: PhInvariants) -> BracketReport:
+    """Check the two commutation identities of the invariant frame with m's
+    invariants ph.
 
     [Z1bar, Z1] = iT + omega_1^1(Z1bar) Z1 - omega_1bar^1bar(Z1) Z1bar
     [Z1bar, T]  = A^1_{1bar} Z1 - omega_1bar^1bar(T) Z1bar
     """
-    ph = derive_ph_invariants(m)
     om11 = EC_I * ph.omega  # omega_1^1
     om1b = -om11  # omega_1bar^1bar
 

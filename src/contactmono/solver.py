@@ -19,7 +19,6 @@ Gauss-Newton on the stacked weighted residual; the optional Reeb constraint
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
@@ -40,19 +39,15 @@ from .fields import (
     DIR_Z1,
     DIR_Z1BAR,
     GaugeField,
-    InvariantBackend,
     SpinorField,
     _Stencil,
     _connection_weight,
     cov_deriv,
-    dirac_xi,
-    gauge_curvature_components,
     gauge_transform,
-    l2_norm_sq,
     scalar_l2_norm_sq,
     sup_phi_sq,
 )
-from .pseudohermitian import PhInvariants, derive_ph_invariants
+from .pseudohermitian import PhInvariants
 
 
 @dataclass
@@ -112,71 +107,26 @@ def residual_sw(s: MonopoleState, ph: PhInvariants) -> ResidualReport:
     return _residual_report(s, ph)
 
 
-@dataclass(frozen=True)
-class WeitzenbockReport:
-    grad_sq: float  # sum_j ||nabla_{e_j} Phi||^2
-    webster_term: float  # 2 int W |beta|^2
-    gauge_term: float  # int da(e1,e2) (|alpha|^2 - |beta|^2)
-    reeb_term: float  # 2i int (alpha^a_{,0} conj(alpha) - beta^a_{1b,0} beta_1)
-    dirac_sq: float  # ||D_xi Phi||^2, computed independently
+def _energy(s: MonopoleState, ph: PhInvariants) -> float:
+    """grad energy + int W |Phi|^2 + int (|alpha|^2-|beta|^2)^2 of a state.
 
-    @property
-    def rhs(self):
-        return self.grad_sq + self.webster_term + self.gauge_term + self.reeb_term
-
-    @property
-    def gap(self):
-        return abs(self.dirac_sq - self.rhs)
-
-
-def weitzenbock_energy(s: MonopoleState, ph: PhInvariants) -> WeitzenbockReport:
-    """The four energy summands against an independent Dirac norm."""
-    a, phi, b = s.a, s.phi, s.backend
-    d_z1 = cov_deriv(phi, DIR_Z1, a, ph)
-    d_z1b = cov_deriv(phi, DIR_Z1BAR, a, ph)
-    # real frame directions: e1 = Z1 + Z1bar, e2 = i(Z1 - Z1bar)
+    On a constrained solution with positive Webster curvature every term is
+    non-negative and the sum vanishes, which forces Phi = 0.  The grad
+    energy is sum_j ||nabla_{e_j} Phi||^2 over the real frame directions
+    e1 = Z1 + Z1bar and e2 = i(Z1 - Z1bar).
+    """
+    b, phi = s.backend, s.phi
+    d_z1 = cov_deriv(phi, DIR_Z1, s.a, ph)
+    d_z1b = cov_deriv(phi, DIR_Z1BAR, s.a, ph)
     grad_sq = 0.0
     for comp in ("alpha", "beta1bar"):
         u, v = getattr(d_z1, comp), getattr(d_z1b, comp)
         grad_sq += scalar_l2_norm_sq(b, u + v)
         grad_sq += scalar_l2_norm_sq(b, 1j * (u - v))
-    w = ph.webster_float()
-    abs_b_sq = phi.beta1bar * np.conj(phi.beta1bar)
-    webster_term = 2 * w * float(np.real(b.integrate(abs_b_sq)))
-    _, _, da12 = gauge_curvature_components(a, s.model)
-    dens = phi.alpha * np.conj(phi.alpha) - abs_b_sq
-    gauge_term = float(np.real(b.integrate(da12 * dens)))
-    d_t = cov_deriv(phi, DIR_T, a, ph)
-    reeb_integrand = d_t.alpha * np.conj(phi.alpha) - d_t.beta1bar * np.conj(
-        phi.beta1bar
-    )
-    reeb_term = float(np.real(2j * b.integrate(reeb_integrand)))
-    dirac_sq = l2_norm_sq(dirac_xi(phi, a, ph))
-    return WeitzenbockReport(
-        grad_sq=grad_sq,
-        webster_term=webster_term,
-        gauge_term=gauge_term,
-        reeb_term=reeb_term,
-        dirac_sq=dirac_sq,
-    )
-
-
-def _energy(s: MonopoleState, ph: PhInvariants) -> float:
-    """grad energy + int W |Phi|^2 + int (|alpha|^2-|beta|^2)^2 of a state.
-
-    On a constrained solution with positive Webster curvature every term is
-    non-negative and the sum vanishes, which forces Phi = 0.
-    """
-    rep = weitzenbock_energy(s, ph)
-    b = s.backend
-    phi_sq = s.phi.pointwise_sq()
-    w = ph.webster_float()
-    term_w = w * float(np.real(b.integrate(phi_sq)))
-    dens = s.phi.alpha * np.conj(s.phi.alpha) - s.phi.beta1bar * np.conj(
-        s.phi.beta1bar
-    )
+    term_w = ph.webster_float() * float(np.real(b.integrate(phi.pointwise_sq())))
+    dens = phi.alpha * np.conj(phi.alpha) - phi.beta1bar * np.conj(phi.beta1bar)
     term_q = float(np.real(b.integrate(dens * np.conj(dens))))
-    return rep.grad_sq + term_w + term_q
+    return grad_sq + term_w + term_q
 
 
 # --- Heisenberg closed-form family ---------------------------------------------
@@ -587,22 +537,12 @@ class _Linearisation:
             dense = np.zeros(shape)
             np.add.at(dense, entry, vals)
             comp.data = dense.ravel()
-        # marks that share entries go to successive layers, so that the
-        # entries within a layer are distinct
-        seen = Counter()
-        layer = []
-        for r, c, _ in marks:
-            layer.append(seen[r, c])
-            seen[r, c] += 1
-        order = np.argsort(layer, kind="stable")
-        bounds = np.cumsum([0, *np.bincount(layer)])
-        comp.layers = [slice(a, z) for a, z in zip(bounds[:-1], bounds[1:])]
-        comp.pos = keys[order].astype(np.int32)
-        ordered = [marks[i][2] for i in order]
-        comp.diag = np.array([m.k for m in ordered])
-        comp.imag = np.array([m.imag for m in ordered])
+        # the data positions of the marks' entries, flat in mark order
+        comp.pos = keys.ravel().astype(np.intp)
+        comp.diag = np.array([m.k for _, _, m in marks])
+        comp.imag = np.array([m.imag for _, _, m in marks])
         weight = math.sqrt(b.volume / n3)
-        comp.scale = np.array([[m.sign * weight] for m in ordered])
+        comp.scale = np.array([[m.sign * weight] for _, _, m in marks])
         return comp
 
     def jacobian(self, x: np.ndarray, b):
@@ -620,8 +560,8 @@ class _Linearisation:
         vals = np.stack((d.real, d.imag))[comp.imag, comp.diag]
         vals *= comp.scale
         data = comp.data.copy()
-        for layer in comp.layers:
-            data[comp.pos[layer]] += vals[layer]
+        # marks that share an entry add to it in mark order
+        np.add.at(data, comp.pos, vals.ravel())
         if b.kind != "heis-grid":
             return data.reshape(comp.shape)
         import scipy.sparse as sp
@@ -849,7 +789,8 @@ def solve(
     eps,
     init: MonopoleState,
     opts: SolveOpts = SolveOpts(),
-    ph: Optional[PhInvariants] = None,
+    *,
+    ph: PhInvariants,
 ) -> Tuple[MonopoleState, SolveInfo]:
     """Damped Gauss-Newton on the stacked residual, with gauge fixing.
 
@@ -861,9 +802,10 @@ def solve(
     compiles only when another system was compiled on the backend since.  A
     step only evaluates the Jacobian.  Inside the loop a state is its packed
     vector (_pack), which the residual, the Jacobian and the gauge fix read
-    through _slots; fields are built only for the final state.
+    through _slots; fields are built only for the final state.  The
+    report is the residual report of the final state: residual_contact or
+    residual_sw of it.
     """
-    ph = ph or derive_ph_invariants(model)
     backend = init.backend
     state = MonopoleState(a=init.a, phi=init.phi, model=model, eps=eps)
     # raises WrongModel for another model, and TorsionError for eps with torsion
@@ -974,13 +916,17 @@ CERT_TOL_PHI = 1e-8
 
 
 def vanishing_certificate(
-    model: ModelStructure, s: MonopoleState, ph: Optional[PhInvariants] = None
+    s: MonopoleState, rr: ResidualReport, ph: PhInvariants
 ) -> CertificateVerdict:
-    """Check the positive-curvature vanishing mechanism on a candidate state."""
-    ph = ph or derive_ph_invariants(model)
+    """Check the positive-curvature vanishing mechanism on a candidate state.
+
+    rr is residual_contact(s, ph), which a contact solve reports as
+    SolveInfo.report.
+    """
     if not (ph.tw_curv.is_real() and ph.tw_curv.real_sign() > 0):
         raise PreconditionError("certificate requires positive Webster curvature")
-    rr = residual_contact(s, ph)
+    if s.eps is not None:
+        raise ValueError("state carries eps; a certificate reads the contact system")
     if rr.total > CERT_TOL_RESIDUAL or rr.r_constraint > CERT_TOL_RESIDUAL:
         return CertificateVerdict(
             verdict="not-a-solution",
@@ -1059,15 +1005,17 @@ def sweep(
     model: ModelStructure,
     eps_list: Sequence[float],
     seed: int = 0,
-    backend=None,
-    ph: Optional[PhInvariants] = None,
+    *,
+    backend,
+    ph: PhInvariants,
 ) -> List[SweepRecord]:
-    """Solve the eps-family along a decreasing eps list, warm-starting each step."""
+    """Solve the eps-family along a decreasing eps list, warm-starting each step.
+
+    The states live on backend, and ph holds model's invariants.
+    """
     eps_values = [float(e) for e in eps_list]
     if any(b >= a for a, b in zip(eps_values, eps_values[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    ph = ph or derive_ph_invariants(model)
-    backend = backend or InvariantBackend(model)
     rng = np.random.default_rng(seed)
     state = random_monopole_state(
         model, backend, seed=seed, eps=eps_values[0], scale=SWEEP_PHI_SCALE

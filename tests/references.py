@@ -2,8 +2,10 @@
 
 None of these runs in the program: each is an independent route to a value
 the program computes (the gen(p, q) invariants, the Hodge inner product,
-the Clifford action of a form, the half-trace curvature) or a check of the
-grid discretisation (divergence, adjointness, the anticommutator identity).
+the Clifford action of a form, the half-trace curvature), a check of the
+grid discretisation (divergence, adjointness, the anticommutator identity)
+or the five terms of the Weitzenbock identity that the certificate's
+energy rests on.
 """
 
 from dataclasses import dataclass
@@ -23,11 +25,16 @@ from contactmono.fields import (
     Backend,
     GaugeField,
     SpinorField,
+    _check_same_backend,
+    _conj,
     b_curvature_components,
     cov_deriv,
-    l2_inner,
+    dirac_xi,
+    gauge_curvature_components,
+    scalar_l2_norm_sq,
 )
 from contactmono.pseudohermitian import PhInvariants
+from contactmono.solver import MonopoleState
 
 
 # --- exact invariants and forms ----------------------------------------------------
@@ -104,6 +111,17 @@ def curvature_trace(cc: ConnCoeffs, m: ModelStructure) -> CurvatureTrace:
 
 
 # --- field-level checks of the discretisation ----------------------------------------
+
+
+def l2_inner(f: SpinorField, g: SpinorField) -> complex:
+    """Hermitian L^2 pairing with volume density 2 on the fundamental domain."""
+    _check_same_backend(f, g)
+    integrand = f.alpha * _conj(g.alpha) + f.beta1bar * _conj(g.beta1bar)
+    return f.backend.integrate(integrand)
+
+
+def l2_norm_sq(f: SpinorField) -> float:
+    return l2_inner(f, f).real
 
 
 def zero_gauge(backend: Backend) -> GaugeField:
@@ -194,3 +212,59 @@ def anticommutator_pair(
     row1 = 2j * a1b1b * d_alpha_1 + f0 * f.alpha - 2 * a1b1b * a.aZ1() * f.alpha
     closed_f = SpinorField(row0, row1, f.backend)
     return direct_f, closed_f
+
+
+# --- the Weitzenbock identity --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class WeitzenbockReport:
+    grad_sq: float  # sum_j ||nabla_{e_j} Phi||^2
+    webster_term: float  # 2 int W |beta|^2
+    gauge_term: float  # int da(e1,e2) (|alpha|^2 - |beta|^2)
+    reeb_term: float  # 2i int (alpha^a_{,0} conj(alpha) - beta^a_{1b,0} beta_1)
+    dirac_sq: float  # ||D_xi Phi||^2, computed independently
+
+    @property
+    def rhs(self):
+        return self.grad_sq + self.webster_term + self.gauge_term + self.reeb_term
+
+    @property
+    def gap(self):
+        return abs(self.dirac_sq - self.rhs)
+
+
+def weitzenbock_energy(s: MonopoleState, ph: PhInvariants) -> WeitzenbockReport:
+    """The four energy summands against an independent Dirac norm.
+
+    grad_sq sums in the order of the certificate's gradient energy
+    (solver._energy), so the two agree bit for bit.
+    """
+    a, phi, b = s.a, s.phi, s.backend
+    d_z1 = cov_deriv(phi, DIR_Z1, a, ph)
+    d_z1b = cov_deriv(phi, DIR_Z1BAR, a, ph)
+    # real frame directions: e1 = Z1 + Z1bar, e2 = i(Z1 - Z1bar)
+    grad_sq = 0.0
+    for comp in ("alpha", "beta1bar"):
+        u, v = getattr(d_z1, comp), getattr(d_z1b, comp)
+        grad_sq += scalar_l2_norm_sq(b, u + v)
+        grad_sq += scalar_l2_norm_sq(b, 1j * (u - v))
+    w = ph.webster_float()
+    abs_b_sq = phi.beta1bar * np.conj(phi.beta1bar)
+    webster_term = 2 * w * float(np.real(b.integrate(abs_b_sq)))
+    _, _, da12 = gauge_curvature_components(a, s.model)
+    dens = phi.alpha * np.conj(phi.alpha) - abs_b_sq
+    gauge_term = float(np.real(b.integrate(da12 * dens)))
+    d_t = cov_deriv(phi, DIR_T, a, ph)
+    reeb_integrand = d_t.alpha * np.conj(phi.alpha) - d_t.beta1bar * np.conj(
+        phi.beta1bar
+    )
+    reeb_term = float(np.real(2j * b.integrate(reeb_integrand)))
+    dirac_sq = l2_norm_sq(dirac_xi(phi, a, ph))
+    return WeitzenbockReport(
+        grad_sq=grad_sq,
+        webster_term=webster_term,
+        gauge_term=gauge_term,
+        reeb_term=reeb_term,
+        dirac_sq=dirac_sq,
+    )

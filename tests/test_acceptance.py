@@ -68,10 +68,9 @@ from contactmono.solver import (
     solve,
     sweep,
     vanishing_certificate,
-    weitzenbock_energy,
 )
 from grid_states import constant_gauge, theta_state, trig_spinor
-from references import adjoint_check, gen_closed_forms, zero_gauge
+from references import adjoint_check, gen_closed_forms, weitzenbock_energy, zero_gauge
 
 HEIS = catalog_model("heisenberg")
 S3 = catalog_model("round-s3")
@@ -155,8 +154,8 @@ def test_criterion_3_curvature_comparator():
     samples = [(m, e) for m in models for e in eps_set]
     ok = True
     for m, e in samples:
-        cmp = compare_scalar_curvature(m, e)
         ph = derive_ph_invariants(m)
+        cmp = compare_scalar_curvature(m, ph, e)
         # the oracle is R = 4W - 2 eps^2 - 2 eps^{-2}|A|^2 exactly: the leading
         # Webster term as in the closed form, both lower-order terms doubled
         a_sq = ph.torsion.abs_sq()
@@ -230,14 +229,14 @@ def test_criterion_5_vanishing_certificate():
     for seed in range(20):
         init = random_monopole_state(S3, b, seed=1000 + seed)
         state, info = solve(
-            S3, None, init, SolveOpts(seed=seed, constraint=True)
+            S3, None, init, SolveOpts(seed=seed, constraint=True), ph=PH_S3
         )
         sup_phi = math.sqrt(
             abs(state.phi.alpha) ** 2 + abs(state.phi.beta1bar) ** 2
         )
         ok &= info.converged and sup_phi <= 1e-8
         ok &= abs(float(np.real(state.a.a0)) - 1.0) <= 1e-8
-        v = vanishing_certificate(S3, state, PH_S3)
+        v = vanishing_certificate(state, info.report, PH_S3)
         ok &= v.verdict == "consistent-with-vanishing"
     dt = time.perf_counter() - t0
     assert _line("5 vanishing certificate (20 constrained runs)", ok, f"{dt:.1f}s")
@@ -255,7 +254,7 @@ def test_criterion_6_heisenberg_family():
     nontrivial = 0
     for seed in range(20):
         init = random_monopole_state(HEIS, b, seed=2000 + seed)
-        state, info = solve(HEIS, None, init, SolveOpts(seed=seed))
+        state, info = solve(HEIS, None, init, SolveOpts(seed=seed), ph=PH_HEIS)
         ok &= info.converged
         ok &= fam.membership(state).member
         if abs(state.phi.alpha) > 1e-3:
@@ -275,7 +274,7 @@ def test_criterion_6_heisenberg_family():
 
 @pytest.fixture(scope="module")
 def sweep_records():
-    return sweep(HEIS, EPS_SWEEP, seed=0, ph=PH_HEIS)
+    return sweep(HEIS, EPS_SWEEP, seed=0, backend=InvariantBackend(HEIS), ph=PH_HEIS)
 
 
 def test_criterion_7a_sweep_energy_identity(sweep_records):
@@ -406,7 +405,7 @@ def test_criterion_7c_sweep_sup_bound(sweep_records):
 def test_criterion_7d_sweep_limit_residual(sweep_records):
     # prefixes of the ladder ending at 2^-2 .. 2^-6; the last is the full sweep
     prefixes = [
-        sweep(HEIS, EPS_SWEEP[:k], seed=0, ph=PH_HEIS)
+        sweep(HEIS, EPS_SWEEP[:k], seed=0, backend=InvariantBackend(HEIS), ph=PH_HEIS)
         for k in range(2, len(EPS_SWEEP))
     ] + [sweep_records]
     ok, detail = check_limit_residual(prefixes, sweep_records)

@@ -2,10 +2,11 @@ import json
 import os
 import subprocess
 import sys
+from functools import cached_property
 
 import pytest
 
-from contactmono import cli
+from contactmono import cli, pseudohermitian
 from contactmono.cli import INPUT_ERRORS, main, parse_config, run
 from contactmono.errors import ConfigError
 
@@ -70,6 +71,31 @@ def test_run_check_catalog():
         hm = report["result"]["suites"]["compat_levicivita_hmetric"]
         assert not hm["asserted"]
         assert not hm["pass"]
+
+
+def test_each_command_derives_the_invariants_once(monkeypatch):
+    # the command derives and passes the invariants down; the check command's
+    # metric connection never evaluates its scalar curvature
+    calls = {"derive": 0, "scalar": 0}
+    derive, scalar = cli.derive_ph_invariants, pseudohermitian.RiemannData.scalar.func
+
+    def counting_derive(m):
+        calls["derive"] += 1
+        return derive(m)
+
+    def counting_scalar(rd):
+        calls["scalar"] += 1
+        return scalar(rd)
+
+    counted = cached_property(counting_scalar)
+    counted.__set_name__(pseudohermitian.RiemannData, "scalar")
+    monkeypatch.setattr(cli, "derive_ph_invariants", counting_derive)
+    monkeypatch.setattr(pseudohermitian.RiemannData, "scalar", counted)
+    for command, scalars in (("derive", 1), ("curvature", 1), ("check", 0)):
+        calls.update(derive=0, scalar=0)
+        code, _ = run(parse_config({"command": command, "model": "round-s3"}))
+        assert code == 0
+        assert calls == {"derive": 1, "scalar": scalars}, command
 
 
 def test_run_solve_certificate_exit_codes():

@@ -211,7 +211,7 @@ def test_compatibility_pseudohermitian_all_models():
     for name in ("heisenberg", "round-s3", "torsion"):
         m = catalog_model(name)
         ph = derive_ph_invariants(m)
-        rep = compatibility_check(m, ph, 1, a, "pseudohermitian", "rotation-ph")
+        rep = compatibility_check(m, ph, 1, a, "pseudohermitian", "rotation")
         assert rep.ok, rep.failures
 
 
@@ -221,7 +221,7 @@ def test_compatibility_levi_civita_torsion_free():
         m = catalog_model(name)
         ph = derive_ph_invariants(m)
         for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 4)):
-            rep = compatibility_check(m, ph, eps, a, "levi-civita", "rotation-eps")
+            rep = compatibility_check(m, ph, eps, a, "levi-civita", "rotation")
             assert rep.ok, rep.failures
 
 

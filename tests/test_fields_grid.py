@@ -15,11 +15,16 @@ from contactmono.fields import (
     cov_deriv,
     dirac_xi,
     gauge_transform,
-    l2_inner,
-    l2_norm_sq,
 )
 from grid_states import constant_gauge, theta_state, trig_spinor
-from references import adjoint_check, anticommutator_pair, divergence_check, zero_gauge
+from references import (
+    adjoint_check,
+    anticommutator_pair,
+    divergence_check,
+    l2_inner,
+    l2_norm_sq,
+    zero_gauge,
+)
 from contactmono.pseudohermitian import derive_ph_invariants
 
 HEIS = catalog_model("heisenberg")

@@ -16,12 +16,16 @@ from contactmono.fields import (
     dirac_eps,
     dirac_xi,
     gauge_curvature_components,
-    l2_inner,
-    l2_norm_sq,
     sup_phi_sq,
 )
 from contactmono.pseudohermitian import derive_ph_invariants
-from references import adjoint_check, anticommutator_pair, divergence_check, zero_gauge
+from references import (
+    adjoint_check,
+    anticommutator_pair,
+    divergence_check,
+    l2_inner,
+    zero_gauge,
+)
 
 HEIS = catalog_model("heisenberg")
 S3 = catalog_model("round-s3")

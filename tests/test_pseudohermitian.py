@@ -193,11 +193,13 @@ def test_curvature_closed_form_on_family(p, q, eps):
 
 
 def test_compare_scalar_curvature_values():
-    cmp1 = compare_scalar_curvature(catalog_model("round-s3"), 1)
+    s3 = catalog_model("round-s3")
+    cmp1 = compare_scalar_curvature(s3, derive_ph_invariants(s3), 1)
     assert cmp1.closed_form == ExactComplex(7)
     assert cmp1.oracle == ExactComplex(6)
     assert cmp1.gap == ExactComplex(1)
-    cmp2 = compare_scalar_curvature(catalog_model("heisenberg"), 1)
+    heis = catalog_model("heisenberg")
+    cmp2 = compare_scalar_curvature(heis, derive_ph_invariants(heis), 1)
     assert cmp2.closed_form == ExactComplex(-1)
     assert cmp2.oracle == ExactComplex(-2)
     assert cmp2.gap == ExactComplex(1)
@@ -207,20 +209,22 @@ def test_compare_scalar_curvature_values():
 @settings(max_examples=12, deadline=None)
 def test_gap_is_eps_squared_when_torsion_free(pq, eps):
     m = gen_model(*pq)
-    cmp = compare_scalar_curvature(m, eps)
+    cmp = compare_scalar_curvature(m, derive_ph_invariants(m), eps)
     assert cmp.gap == ExactComplex(eps * eps)
 
 
 def test_frame_bracket_check_catalog():
     for name in ("heisenberg", "round-s3", "torsion"):
-        rep = frame_bracket_check(catalog_model(name))
+        m = catalog_model(name)
+        rep = frame_bracket_check(m, derive_ph_invariants(m))
         assert rep.all_ok, (name, rep)
 
 
 @given(rat, rat)
 @settings(max_examples=30, deadline=None)
 def test_frame_bracket_check_family(p, q):
-    assert frame_bracket_check(gen_model(p, q)).all_ok
+    m = gen_model(p, q)
+    assert frame_bracket_check(m, derive_ph_invariants(m)).all_ok
 
 
 def test_reeb_bracket_value_round_s3():

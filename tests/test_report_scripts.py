@@ -1,7 +1,11 @@
 """The byte-identity scripts run on the current tree.
 
 scripts/report_digest.py calls private solver functions, so a change of their
-signatures shows here rather than at the next comparison of two trees.
+signatures shows here rather than at the next comparison of two trees.  Its
+output must equal the committed tests/report_digest.txt, written with one
+BLAS thread under numpy 2.4.6 and scipy 1.17.1 (the versions CI pins): a
+change that moves report bytes on purpose rewrites that file, so the move
+shows in its diff.
 """
 
 import os
@@ -10,7 +14,8 @@ import subprocess
 import sys
 from collections import Counter
 
-SCRIPTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scripts")
+HERE = os.path.dirname(os.path.abspath(__file__))
+SCRIPTS = os.path.join(HERE, "..", "scripts")
 
 # <sha256>  <kind>  <label>
 DIGEST_LINE = re.compile(r"[0-9a-f]{64}  (\S+)  \S.*")
@@ -40,6 +45,8 @@ def test_report_digest_and_diff_run(tmp_path):
         "state_sha256": 3,
         "csv_sha256": 2,
     }
+    with open(os.path.join(HERE, "report_digest.txt")) as fh:
+        assert digest.stdout == fh.read()
     diff = run_script("report_diff.py", saved, saved, cwd=tmp_path)
     assert diff.returncode == 0, diff.stdout + diff.stderr
     lines = diff.stdout.splitlines()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg as spla
 
-from contactmono import algebra, pseudohermitian
+from contactmono import algebra, cli, pseudohermitian
 from contactmono import solver as solver_mod
 from contactmono.algebra import InvariantForm, catalog_model, exterior_d, gen_model, theta
 from contactmono.errors import (
@@ -46,15 +47,19 @@ from contactmono.solver import (
     sweep,
     sweep_diagnostics,
     vanishing_certificate,
-    weitzenbock_energy,
 )
 from grid_states import constant_gauge, theta_state, trig_spinor
-from references import zero_gauge
+from references import weitzenbock_energy, zero_gauge
 
 HEIS = catalog_model("heisenberg")
 S3 = catalog_model("round-s3")
 PH_HEIS = derive_ph_invariants(HEIS)
 PH_S3 = derive_ph_invariants(S3)
+
+
+def certificate(s, ph):
+    """The certificate of s with its contact residual report."""
+    return vanishing_certificate(s, residual_contact(s, ph), ph)
 
 
 def inv_state(model, alpha, beta, a0, a1re=0.0, a2re=0.0, eps=None):
@@ -156,14 +161,30 @@ def test_weitzenbock_grid_trig_states():
 def test_energy_identity_and_rejection():
     # reducible solution on round-s3 satisfies everything with value 0
     s = inv_state(S3, 0.0, 0.0, 1.0)
-    assert vanishing_certificate(S3, s, PH_S3).energy == pytest.approx(0.0, abs=1e-14)
+    assert certificate(s, PH_S3).energy == pytest.approx(0.0, abs=1e-14)
     # a contact solution from seed 1 violates the Reeb constraint: no energy
     init = random_monopole_state(S3, InvariantBackend(S3), seed=1)
-    bad, _ = solve(S3, None, init, ph=PH_S3)
+    bad, info = solve(S3, None, init, ph=PH_S3)
     rr = residual_contact(bad, PH_S3)
+    assert rr == info.report
     assert rr.total <= 1e-10 and rr.r_constraint > 1.0
-    v = vanishing_certificate(S3, bad, PH_S3)
+    v = vanishing_certificate(bad, info.report, PH_S3)
     assert v.verdict == "not-a-solution" and v.energy is None
+
+
+def test_certificate_energy_uses_the_weitzenbock_gradient_term():
+    # the certificate's energy: the identity's gradient term plus
+    # int W |Phi|^2 and int (|alpha|^2 - |beta|^2)^2
+    for model, ph in ((HEIS, PH_HEIS), (S3, PH_S3)):
+        s = inv_state(model, 0.75 - 0.25j, -0.5 + 1.25j, 0.375, 0.25, -0.125)
+        grad_sq = weitzenbock_energy(s, ph).grad_sq
+        alpha_sq, beta_sq = abs(s.phi.alpha) ** 2, abs(s.phi.beta1bar) ** 2
+        rest = s.backend.volume * (
+            ph.webster_float() * (alpha_sq + beta_sq) + (alpha_sq - beta_sq) ** 2
+        )
+        energy = solver_mod._energy(s, ph)
+        assert grad_sq > 0
+        assert energy == pytest.approx(grad_sq + rest, rel=1e-14)
 
 
 @pytest.mark.parametrize("grid", [False, True])
@@ -212,7 +233,7 @@ def test_solve_contact_heisenberg_randomized():
     nontrivial = 0
     for seed in range(8):
         init = random_monopole_state(HEIS, InvariantBackend(HEIS), seed=seed)
-        state, info = solve(HEIS, None, init, SolveOpts(seed=seed))
+        state, info = solve(HEIS, None, init, SolveOpts(seed=seed), ph=PH_HEIS)
         assert info.converged
         assert info.report.total <= 1e-10
         assert fam.membership(state).member
@@ -223,7 +244,7 @@ def test_solve_contact_heisenberg_randomized():
 
 def test_solve_fixed_point():
     s = inv_state(HEIS, 1.0, 0.0, 0.5)
-    state, info = solve(HEIS, None, s)
+    state, info = solve(HEIS, None, s, ph=PH_HEIS)
     assert info.iterations <= 2
     assert abs(state.phi.alpha - 1.0) < 1e-12 or abs(abs(state.phi.alpha) - 1.0) < 1e-12
 
@@ -232,7 +253,7 @@ def test_solve_constrained_round_s3_vanishing():
     for seed in range(6):
         init = random_monopole_state(S3, InvariantBackend(S3), seed=100 + seed)
         state, info = solve(
-            S3, None, init, SolveOpts(seed=seed, constraint=True)
+            S3, None, init, SolveOpts(seed=seed, constraint=True), ph=PH_S3
         )
         assert info.converged
         assert math.sqrt(abs(state.phi.alpha) ** 2 + abs(state.phi.beta1bar) ** 2) <= 1e-8
@@ -241,7 +262,7 @@ def test_solve_constrained_round_s3_vanishing():
 
 def test_solve_sw_invariant_eps_half():
     init = random_monopole_state(HEIS, InvariantBackend(HEIS), seed=3, eps=0.5)
-    state, info = solve(HEIS, 0.5, init)
+    state, info = solve(HEIS, 0.5, init, ph=PH_HEIS)
     assert info.converged and info.report.total <= 1e-12
 
 
@@ -255,7 +276,7 @@ def test_solve_sw_alpha_branch_small_eps():
         model=HEIS,
         eps=eps,
     )
-    state, info = solve(HEIS, eps, init)
+    state, info = solve(HEIS, eps, init, ph=PH_HEIS)
     assert info.converged
     assert abs(state.phi.alpha) ** 2 == pytest.approx(2 * eps * (1 - 2 * eps), abs=1e-9)
     assert np.real(state.a.a0) == pytest.approx(-(eps**2), abs=1e-9)
@@ -264,22 +285,28 @@ def test_solve_sw_alpha_branch_small_eps():
 def test_vanishing_certificate_paths():
     # solver output under the constraint: consistent
     init = random_monopole_state(S3, InvariantBackend(S3), seed=11)
-    state, _ = solve(S3, None, init, SolveOpts(constraint=True))
-    v = vanishing_certificate(S3, state)
+    state, info = solve(S3, None, init, SolveOpts(constraint=True), ph=PH_S3)
+    v = vanishing_certificate(state, info.report, PH_S3)
     assert v.verdict == "consistent-with-vanishing"
     # hand-built nonzero state off the solution set: rejected.  Its Reeb
     # derivative beta^a_{1b,0} = i(omega(T) + a0) beta vanishes at a0 = 2; its
     # contact residual is 3 sqrt2
     bad = inv_state(S3, 0.0, 1.0, 2.0)
-    v2 = vanishing_certificate(S3, bad)
+    v2 = certificate(bad, PH_S3)
     assert v2.verdict == "not-a-solution"
     with pytest.raises(PreconditionError):
-        vanishing_certificate(HEIS, inv_state(HEIS, 0.0, 0.0, 0.0))
+        certificate(inv_state(HEIS, 0.0, 0.0, 0.0), PH_HEIS)
+    # the certificate reads the contact system only
+    s = inv_state(S3, 0.0, 0.0, 1.0)
+    rr = residual_contact(s, PH_S3)
+    with pytest.raises(ValueError):
+        vanishing_certificate(dataclasses.replace(s, eps=0.5), rr, PH_S3)
 
 
 def test_certificate_evaluates_the_residual_once(monkeypatch):
-    # the certificate's own residual check tells a solution, so the energy
-    # is computed without a second report
+    # a contact solve reports residual_contact of its final state, and the
+    # certificate reads that report: one _residual_report per seed, none in
+    # the certificate
     calls = []
     report = solver_mod._residual_report
 
@@ -288,9 +315,16 @@ def test_certificate_evaluates_the_residual_once(monkeypatch):
         return report(*args)
 
     monkeypatch.setattr(solver_mod, "_residual_report", counting)
-    v = vanishing_certificate(S3, inv_state(S3, 0.0, 0.0, 1.0), PH_S3)
+    s = inv_state(S3, 0.0, 0.0, 1.0)
+    v = vanishing_certificate(s, report(s, PH_S3), PH_S3)
     assert v.verdict == "consistent-with-vanishing" and v.energy is not None
-    assert len(calls) == 1
+    assert calls == []
+    cfg = cli.parse_config({"command": "solve", "model": "round-s3", "constraint": True})
+    backend = InvariantBackend(S3)
+    for seed in range(3):
+        run = cli._solve_one(cfg, S3, PH_S3, backend, seed)
+        assert run["certificate"]["verdict"] == "consistent-with-vanishing"
+        assert len(calls) == seed + 1
 
 
 def test_gauge_covariance_invariant_constant_phase():
@@ -315,18 +349,18 @@ def test_gauge_covariance_invariant_constant_phase():
 
 def test_sweep_requires_decreasing():
     with pytest.raises(ValueError):
-        sweep(HEIS, [0.25, 0.5])
+        sweep(HEIS, [0.25, 0.5], backend=InvariantBackend(HEIS), ph=PH_HEIS)
 
 
 def test_sweep_single_point():
-    recs = sweep(HEIS, [0.5], seed=1)
+    recs = sweep(HEIS, [0.5], seed=1, backend=InvariantBackend(HEIS), ph=PH_HEIS)
     assert len(recs) == 1
     assert recs[0].residual_limit is not None
 
 
 def test_sweep_tracks_alpha_branch():
     eps_list = [2.0**-k for k in range(1, 7)]
-    recs = sweep(HEIS, eps_list, seed=0)
+    recs = sweep(HEIS, eps_list, seed=0, backend=InvariantBackend(HEIS), ph=PH_HEIS)
     assert all(r.converged for r in recs)
     # (4.27)-type identity holds on every converged state
     for r in recs:
@@ -356,7 +390,7 @@ def test_sweep_matches_closed_form_branch():
             eps=e,
         )
         assert residual_sw(s, PH_HEIS).total <= 1e-15
-    recs = sweep(HEIS, eps_list, seed=0)
+    recs = sweep(HEIS, eps_list, seed=0, backend=InvariantBackend(HEIS), ph=PH_HEIS)
     for r in recs[1:]:
         assert r.sup_phi_sq == pytest.approx(2 * r.eps - 4 * r.eps**2, rel=1e-9)
         assert r.norm_T_deriv_sq == pytest.approx(
@@ -597,11 +631,12 @@ SEED5_SOLVE = """
 import json
 from contactmono.algebra import catalog_model
 from contactmono.fields import HeisGridBackend
+from contactmono.pseudohermitian import derive_ph_invariants
 from contactmono.solver import SolveOpts, random_monopole_state, solve
 
 m = catalog_model("heisenberg")
 init = random_monopole_state(m, HeisGridBackend(m, 16), seed=5)
-_, info = solve(m, None, init, SolveOpts(seed=5))
+_, info = solve(m, None, init, SolveOpts(seed=5), ph=derive_ph_invariants(m))
 capped = sum(stop == 7 for stop, _ in info.cgls_steps)  # 7: stopped at the cap
 print(json.dumps([info.converged, info.stop_reason, info.cgls_steps, capped]))
 """
@@ -1036,7 +1071,7 @@ def test_solve_compares_backend_model_by_value():
     init = random_monopole_state(HEIS, InvariantBackend(HEIS), seed=0)
     inline = algebra.model_from_json({"c_0_12": "2"})
     for model in (catalog_model("heisenberg"), inline):
-        _, info = solve(model, None, init)
+        _, info = solve(model, None, init, ph=derive_ph_invariants(model))
         assert info.converged
 
 
@@ -1190,11 +1225,11 @@ def test_float_solves_run_no_exact_arithmetic(monkeypatch):
 
     state, info = solve(S3, None, s3_init, SolveOpts(constraint=True), ph=PH_S3)
     assert info.converged
-    cert = vanishing_certificate(S3, state, PH_S3)
+    cert = vanishing_certificate(state, info.report, PH_S3)
     assert cert.verdict == "consistent-with-vanishing"
     _, info = solve(HEIS, 0.25, heis_init, ph=PH_HEIS)
     assert info.converged
-    recs = sweep(HEIS, [0.5, 0.25], ph=PH_HEIS)
+    recs = sweep(HEIS, [0.5, 0.25], backend=InvariantBackend(HEIS), ph=PH_HEIS)
     assert all(r.converged for r in recs)
     for s in grid_states:
         x = solver_mod._pack(s)
