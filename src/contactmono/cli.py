@@ -367,6 +367,13 @@ def _cmd_sweep(cfg: RunConfig) -> dict:
     records = sweep(
         m, [float(e) for e in cfg.eps_list], seed=cfg.seed, backend=_backend(cfg, m), ph=ph
     )
+    for eps, r in zip(cfg.eps_list, records):
+        if not r.converged:
+            # why the run exits 2, on stderr: the report keeps its bytes
+            sys.stderr.write(
+                f"contactmono: seed {cfg.seed} eps {rational_str(eps)} did not converge:"
+                f" {r.stop_reason}\n"
+            )
     eps_vals = [r.eps for r in records]
     slopes = {
         key: loglog_slope(eps_vals, [getattr(r, key) for r in records], floor=1e-12)

@@ -215,6 +215,55 @@ class HeisGridBackend(Backend):
             (vals.ravel(), (rows.ravel(), cols.ravel())), shape=(len(kz) * m,) * 2
         )
 
+    # x wraps without a twist too, but a stencil term that crosses the
+    # y-seam upward reads z - 2x: in a kz block it carries the phase
+    # exp(-4 pi i kz x / N), which a DFT in x turns into a shift of kx by
+    # 2kz.  So after a DFT in x as well, a kz block couples kx only to
+    # kx + 2 s kz, s the net number of seam crossings of its terms.
+
+    def xz_fourier(self, u):
+        """The (kz, kx) Fourier blocks of real fields u, flat one after
+        another: row kz of the (N/2+1, c N^2) result holds, field by field,
+        the DFT over x of their rfft over z at kz, in (kx, y) order."""
+        n = self.n
+        f = np.fft.fft(np.fft.rfft(np.reshape(u, (-1, n, n, n)), axis=3), axis=1)
+        return f.transpose(3, 0, 1, 2).reshape(n // 2 + 1, -1)
+
+    def xz_fourier_inverse(self, blocks):
+        """The flat real fields whose xz_fourier is blocks."""
+        n = self.n
+        f = np.reshape(blocks, (n // 2 + 1, -1, n, n)).transpose(1, 2, 3, 0)
+        return np.fft.irfft(np.fft.ifft(f, axis=1), n=n, axis=3).ravel()
+
+    def xz_blocks(self, op):
+        """The (kz, kx) Fourier blocks of a sparse operator from c fields to
+        r fields (shape (r N^3, c N^3)) built from `stencils`, with a reach
+        in y below N/2: yields, for kz = 0..N/2, its block as CSR acting on
+        row kz of xz_fourier(u).
+
+        Such an operator is fixed by its rows at x = z = 0.  An entry there,
+        (0, y, 0) -> (x', y + dy, z') with value v and s net upward seam
+        crossings, gives in block kz the entry (kx, y) -> (kx + 2 s kz, y + dy)
+        with value v exp(2 pi i (kz z' + (kx + 2 s kz) x') / N).
+        """
+        import scipy.sparse as sp
+
+        n, m, n3 = self.n, self.n**2, self.n_points
+        r, c = op.shape[0] // n3, op.shape[1] // n3
+        top = op.tocsr()[(np.arange(r)[:, None] * n3 + np.arange(n) * n).ravel()].tocoo()
+        r_field, y = np.divmod(top.row, n)
+        c_field, col = np.divmod(top.col, n3)
+        x_col, col = np.divmod(col, m)
+        y_col, z_col = np.divmod(col, n)
+        crossings = (y + (y_col - y + n // 2) % n - n // 2) // n
+        kx = np.arange(n)[:, None]
+        rows = np.broadcast_to(r_field * m + kx * n + y, (n, len(y))).ravel()
+        for kz in range(n // 2 + 1):
+            kx_col = (kx + 2 * crossings * kz) % n
+            vals = np.exp(2j * np.pi * ((kz * z_col + kx_col * x_col) % n) / n) * top.data
+            cols = c_field * m + kx_col * n + y_col
+            yield sp.csr_matrix((vals.ravel(), (rows, cols.ravel())), shape=(r * m, c * m))
+
     @cached_property
     def _laplacian_pins(self):
         """One point per (x mod 2, y mod 2) class, (x, y) in {0, 1}^2, in the

@@ -468,6 +468,11 @@ def _coulomb_form(backend) -> _Form:
     return _Form("r", lin=dict(zip((A0, A1, A2), backend.stencils[:3])))
 
 
+# the slot group of each slot in the preconditioner's diagonal blocks:
+# (Re alpha, Im alpha), (Re beta, Im beta), a0, a1 and a2
+_PRECOND_GROUPS = np.array([0, 0, 1, 1, 2, 3, 4])
+
+
 class _Linearisation:
     """An equation system: its forms, and their Jacobian, compiled once and
     evaluated per state.
@@ -482,8 +487,8 @@ class _Linearisation:
 
     A backend keeps one system per key (_system) but at most one compiled
     Jacobian: a compile first releases the compiled arrays of every system
-    in Backend.systems, so memory does not grow with the eps values or
-    seeds solved on one backend.  The linearisation is given its backend
+    in Backend.systems, and the preconditioner kept with them, so memory
+    does not grow with the eps values or seeds solved on one backend.  The linearisation is given its backend
     with each vector, so the backend's systems hold no reference back to it.
 
     A fresh assembly at u sums each entry's terms in its own order; here the
@@ -543,17 +548,22 @@ class _Linearisation:
         comp.imag = np.array([m.imag for _, _, m in marks])
         weight = math.sqrt(b.volume / n3)
         comp.scale = np.array([[m.sign * weight] for _, _, m in marks])
+        comp.precond = None
         return comp
+
+    def _compiled_on(self, b) -> SimpleNamespace:
+        """The compiled arrays, compiled on backend b if they are not."""
+        if self._compiled is None:
+            for other in b.systems.values():
+                other._compiled = None
+            self._compiled = self._compile(b)
+        return self._compiled
 
     def jacobian(self, x: np.ndarray, b):
         """The Jacobian at the packed vector x on backend b: CSR with the
         Coulomb rows on the grid, dense at one point.  Its data is a fresh
         array, and the caller may scale it."""
-        comp = self._compiled
-        if comp is None:
-            for other in b.systems.values():
-                other._compiled = None
-            comp = self._compiled = self._compile(b)
+        comp = self._compiled_on(b)
         u = _slots(x, b)
         d = np.array([v for f in self.forms for v in f.diagonal(u).values()], dtype=complex)
         d = d.reshape(len(d), -1)
@@ -576,6 +586,60 @@ class _Linearisation:
         return sp.csr_matrix(
             (jac.data[comp.perm], comp.t_indices, comp.t_indptr), shape=jac.shape[::-1]
         )
+
+    def preconditioner(self, b, step_scale):
+        """v -> M^-1 v for the CGLS of a grid step on A = J S (_cgls_step), S
+        the diagonal step_scale, M = P of _preconditioner_blocks.
+
+        P is factored one kz block at a time, built at the first call after
+        a compile and released with the compiled Jacobian; M^-1 v runs in
+        HeisGridBackend.xz_fourier.  SuperLU's relaxed supernodes and panels
+        hold dense workspace: without them the N=16 factors keep 2.5 MB of
+        resident memory, against 11.5 MB with scipy's defaults and 4.8 MB
+        as one factor of all the blocks.
+        """
+        comp = self._compiled_on(b)
+        if comp.precond is None:
+            import scipy.sparse as sp
+            import scipy.sparse.linalg as spla
+
+            j0 = sp.csr_matrix((comp.data, comp.indices, comp.indptr), shape=comp.shape)
+            comp.precond = [
+                spla.splu(p, relax=1, panel_size=1)
+                for p in _preconditioner_blocks(j0, b, step_scale)
+            ]
+        factors = comp.precond
+
+        def solve(v):
+            blocks = b.xz_fourier(v)
+            return b.xz_fourier_inverse(np.array([f.solve(u) for f, u in zip(factors, blocks)]))
+
+        return solve
+
+
+def _preconditioner_blocks(j0, b, step_scale):
+    """P = S J0^T J0 S + w^2 I in (kz, kx) blocks: yields, for kz = 0..N/2,
+    its block as CSC acting on row kz of HeisGridBackend.xz_fourier(v) for
+    v the seven slots.  J0 is the Jacobian at x = 0 with the Coulomb rows
+    (the compiled linear part), S the diagonal step_scale and
+    w^2 = volume / n_points.  P keeps only its five diagonal blocks of
+    slots, _PRECOND_GROUPS.
+
+    J0 is built from the frame stencils, so its blocks are
+    HeisGridBackend.xz_blocks(J0), and P's are products of them, one kz at
+    a time: the 7 N^3 product J0^T J0 is never formed.
+    """
+    import scipy.sparse as sp
+
+    m = b.n**2
+    col_scale = np.repeat(step_scale[:: b.n_points], m)
+    group = np.repeat(_PRECOND_GROUPS, m)
+    for j in b.xz_blocks(j0):
+        j.data *= col_scale[j.indices]
+        p = (j.conj().T @ j).tocoo()
+        keep = group[p.row] == group[p.col]
+        p = sp.csc_matrix((p.data[keep], (p.row[keep], p.col[keep])), shape=p.shape)
+        yield p + (b.volume / b.n_points) * sp.identity(7 * m, format="csc")
 
 
 def _grid_jacobian(x: np.ndarray, b, lin: _Linearisation) -> sp.csr_matrix:
@@ -657,10 +721,12 @@ _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 # Reeb constraint: six real equations per point, Coulomb row included, for
 # seven unknowns) has a minimum-norm step, and the norm decides which solution
 # Gauss-Newton walks to.  CGLS runs on J S with S = HORIZONTAL_GAUGE_SCALE on
-# the a1re, a2re columns and 1 elsewhere, and the step is S q: horizontal
-# gauge moves count twice.  With S = 1 the contact solves end near solutions
-# whose Dirac rows barely couple to the gauge field, where the linear solve
-# stalls at its cap (README, "Numerical backends").
+# the a1re, a2re columns and 1 elsewhere, preconditioned by
+# P = S J0^T J0 S + w^2 I (_Linearisation.preconditioner), and the step is
+# S q, q the least-P-norm solution.  With S = 1 the N=8 contact solves from
+# seeds 0-9 take up to 80 steps, and seed 9 runs to max-iter (README,
+# "Numerical backends").  Systems with at least as many rows as unknowns
+# (the eps family) run plain CGLS.
 HORIZONTAL_GAUGE_SCALE = 0.5
 
 
@@ -682,17 +748,20 @@ def _forcing_term(
     return min(max(eta, ETA_MIN), ETA_MAX)
 
 
-def _cgls_step(jac, lin: _Linearisation, rhs: np.ndarray, eta: float, step_scale):
+def _cgls_step(jac, lin: _Linearisation, rhs: np.ndarray, eta: float, step_scale, precond=None):
     """CGLS (Bjorck 1996, sec. 7.4) on A = jac S from q = 0, for S the
-    diagonal step_scale (None for 1): (q, stop, iterations, |rhs - A q|).
+    diagonal step_scale (None for 1) and the preconditioner v -> M^-1 v
+    (None for M = I): (q, stop, iterations, |rhs - A q|).
 
     jac's columns are scaled in place, and the products with A^T run on the
-    CSR matrix lin.transpose(jac).  From q = 0 the iterates stay in the range
-    of A^T, so the step of a consistent underdetermined system is the
-    minimum-norm one.  The stop codes are lsqr's: 1 when |r| <= eta |rhs|,
-    2 when |A^T r| <= CGLS_ATOL ||A||_F |r| (q solves the least-squares
-    problem to roundoff), 7 after CGLS_ITER_LIM iterations, and 0 when
-    A^T rhs = 0 and q = 0 is the solution.
+    CSR matrix lin.transpose(jac).  The search directions are M^-1 A^T r
+    (CG on the normal equations preconditioned by M).  From q = 0 the
+    iterates stay in M^-1 times the range of A^T, so the step of a
+    consistent underdetermined system is the one of least M-norm.  The stop
+    codes are lsqr's: 1 when |r| <= eta |rhs|, 2 when |A^T r| <= CGLS_ATOL
+    ||A||_F |r| (q solves the least-squares problem to roundoff), 7 after
+    CGLS_ITER_LIM iterations, and 0 when A^T rhs = 0 and q = 0 is the
+    solution.
     """
     if step_scale is not None:
         jac.data *= step_scale[jac.indices]
@@ -701,8 +770,9 @@ def _cgls_step(jac, lin: _Linearisation, rhs: np.ndarray, eta: float, step_scale
     q = np.zeros(jac.shape[1])
     r = rhs.copy()
     s = jac_t @ r
-    p = s
-    gamma = float(s @ s)
+    z = s if precond is None else precond(s)
+    p = z
+    gamma = float(s @ z)
     r_norm = rhs_norm = float(np.linalg.norm(rhs))
     stop, itn = 0, 0
     while gamma > 0:
@@ -712,17 +782,19 @@ def _cgls_step(jac, lin: _Linearisation, rhs: np.ndarray, eta: float, step_scale
         q += step * p
         r -= step * t
         s = jac_t @ r
-        gamma_prev, gamma = gamma, float(s @ s)
+        z = s if precond is None else precond(s)
+        gamma_prev, gamma = gamma, float(s @ z)
         r_norm = float(np.linalg.norm(r))
         if r_norm <= eta * rhs_norm:
             stop = 1
-        elif math.sqrt(gamma) <= CGLS_ATOL * a_norm * r_norm:
+        # |A^T r|: gamma is its square when there is no preconditioner
+        elif math.sqrt(gamma if precond is None else float(s @ s)) <= CGLS_ATOL * a_norm * r_norm:
             stop = 2
         elif itn >= CGLS_ITER_LIM:
             stop = 7
         if stop:
             break
-        p = s + (gamma / gamma_prev) * p
+        p = z + (gamma / gamma_prev) * p
     return q, stop, itn, r_norm
 
 
@@ -795,8 +867,8 @@ def solve(
     """Damped Gauss-Newton on the stacked residual, with gauge fixing.
 
     Invariant sector: exact least-squares steps.  Grid: inexact steps by
-    CGLS on the Jacobian with the Coulomb rows appended (see _forcing_term
-    and HORIZONTAL_GAUGE_SCALE).  The equation system is the backend's
+    CGLS on the Jacobian with the Coulomb rows appended, preconditioned on
+    the contact system (see _forcing_term and HORIZONTAL_GAUGE_SCALE).  The equation system is the backend's
     (_system), so the solves of a batch share it: its forms are built at the
     first use of (ph, eps, constraint) on the backend, and its Jacobian
     compiles only when another system was compiled on the backend since.  A
@@ -844,8 +916,10 @@ def solve(
             fnorm = float(np.linalg.norm(rhs))
             if prev is not None:
                 eta = _forcing_term(eta, fnorm, *prev, loop_tol)
+            # built before the Jacobian, into the memory its compile freed
+            precond = None if step_scale is None else lin.preconditioner(backend, step_scale)
             jac = _grid_jacobian(x, backend, lin)
-            q, stop, itn, lin_norm = _cgls_step(jac, lin, rhs, eta, step_scale)
+            q, stop, itn, lin_norm = _cgls_step(jac, lin, rhs, eta, step_scale, precond)
             del jac  # freed before the next step builds its own
             p = q if step_scale is None else step_scale * q
             prev = (fnorm, lin_norm)
@@ -958,9 +1032,13 @@ class SweepRecord:
     converged: bool
     residual_limit: Optional[float] = None
     constraint_limit: Optional[float] = None
+    # the rung solve's SolveInfo.stop_reason; reports do not carry it
+    stop_reason: Optional[str] = None
 
     def as_dict(self):
-        return asdict(self)
+        out = asdict(self)
+        del out["stop_reason"]
+        return out
 
 
 # A sweep draws its initial state at SWEEP_PHI_SCALE, and it redraws Phi
@@ -1039,6 +1117,7 @@ def sweep(
                 eps=e,
                 iterations=info.iterations,
                 converged=info.converged,
+                stop_reason=info.stop_reason,
                 **diag,
             )
         )

@@ -257,6 +257,28 @@ def test_solve_says_why_a_run_did_not_converge(tmp_path, capsys):
     assert "stop_reason" not in out.read_text()
 
 
+@pytest.mark.parametrize(
+    "seed, lines",
+    [
+        (25, ["eps 1/2 did not converge: line-search-stalled",
+              "eps 1/4 did not converge: line-search-stalled"]),
+        (45, ["eps 1/2 did not converge: max-iter"]),
+    ],
+)
+def test_sweep_says_which_rung_did_not_converge(tmp_path, capsys, seed, lines):
+    # the invariant Heisenberg sweeps from seeds 25 and 45 exit 2: one
+    # stderr line per unconverged rung, and the report keeps its bytes
+    out = tmp_path / "r.json"
+    argv = ["sweep", "--eps-list", "1/2,1/4,1/8,1/16,1/32,1/64", "--seed", str(seed)]
+    assert main(argv + ["--output", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"contactmono: seed {seed} {line}" for line in lines
+    ]
+    records = json.loads(out.read_text())["result"]["records"]
+    assert sum(not r["converged"] for r in records) == len(lines)
+    assert "stop_reason" not in out.read_text()
+
+
 # gen(p, 1) with p = 10^400: the exact model is fine, its float lowering is not
 HUGE_P = '{"name": "g", "p": "1e400", "q": "1"}'
 

@@ -2,6 +2,7 @@ from functools import cached_property
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from contactmono.algebra import catalog_model
 from contactmono.fields import (
@@ -291,6 +292,33 @@ def test_z_blocks_apply_the_frame_operators(n):
         blocks = b.z_blocks(mat) @ b.z_fourier(u).ravel()
         got = b.z_fourier_inverse(blocks.reshape(n // 2 + 1, n * n))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_xz_blocks_apply_operators_between_fields(n):
+    # an operator from two fields to one, built from the frame stencils with
+    # a reach in y of 2 (e2 e2 crosses the seam from two rows), applied
+    # through its (kz, kx) blocks against apply on random fields; each kz
+    # block couples kx only to kx and kx + 2 s kz for s in -2..2
+    b = HeisGridBackend(HEIS, n)
+    rng = np.random.default_rng(n)
+    u = rng.normal(size=2 * b.n_points)
+    assert np.allclose(b.xz_fourier_inverse(b.xz_fourier(u)), u, rtol=0, atol=1e-14)
+    dz, de1, de2 = b.stencils[:3]
+    mats = [s.matrix(b.n_points) for s in (dz, de1, de2)]
+    op = scipy.sparse.hstack([mats[1] + 3 * mats[2], mats[2] @ mats[2] - mats[1] @ mats[0]])
+    first, second = np.split(u, 2)
+    want = de1.apply(first) + 3 * de2.apply(first) + de2.apply(de2.apply(second))
+    want = want - de1.apply(dz.apply(second))
+    blocks = list(b.xz_blocks(op))
+    assert len(blocks) == n // 2 + 1
+    u_hat = b.xz_fourier(u)
+    got = b.xz_fourier_inverse(np.array([blk @ v for blk, v in zip(blocks, u_hat)]))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    for kz, blk in enumerate(blocks):
+        coo = blk.tocoo()
+        shift = (coo.col % (n * n) // n - coo.row // n) % n
+        assert np.isin(shift, [2 * s * kz % n for s in range(-2, 3)]).all()
 
 
 def test_laplacian_solve_inverts_on_the_range():

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg as spla
 
@@ -588,15 +589,17 @@ def test_grid_eps_solve_under_phase_rotation(monkeypatch, angle):
 
 
 def test_solve_reports_capped_lsqr_calls(monkeypatch):
-    # a step whose CGLS stops at its iteration cap says so in SolveInfo
-    monkeypatch.setattr(solver_mod, "CGLS_ITER_LIM", 5)
-    b = HeisGridBackend(HEIS, 8)
-    init = random_monopole_state(HEIS, b, seed=0)
-    stops = _record_cgls(monkeypatch)
-    _, info = solve(HEIS, None, init, SolveOpts(seed=0, max_iter=3), ph=PH_HEIS)
-    assert info.cgls_steps == stops and all(itn <= 5 for _, itn in stops)
-    # the first steps meet the loose early forcing term within the cap
-    assert sum(stop == 7 for stop, _ in info.cgls_steps) >= 1
+    # a step whose CGLS stops at its iteration cap says so in SolveInfo: on
+    # the eps system's plain loop and on the contact system's preconditioned
+    # one, whose steps take a few iterations each
+    for eps, cap in ((0.5, 5), (None, 2)):
+        monkeypatch.setattr(solver_mod, "CGLS_ITER_LIM", cap)
+        init = random_monopole_state(HEIS, HeisGridBackend(HEIS, 8), seed=0, eps=eps)
+        stops = _record_cgls(monkeypatch)
+        _, info = solve(HEIS, eps, init, SolveOpts(seed=0, max_iter=4), ph=PH_HEIS)
+        assert info.cgls_steps == stops and all(itn <= cap for _, itn in stops)
+        # the first steps meet the loose early forcing term within the cap
+        assert stops[0][0] == 1 and sum(stop == 7 for stop, _ in info.cgls_steps) >= 1
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -627,39 +630,61 @@ def test_cgls_stops_at_a_least_squares_solution(monkeypatch):
     assert info.cgls_steps[5] == (7, solver_mod.CGLS_ITER_LIM)
 
 
-SEED5_SOLVE = """
-import json
+SOLVE_ONE_THREAD = """
+import hashlib, json, sys
 from contactmono.algebra import catalog_model
 from contactmono.fields import HeisGridBackend
 from contactmono.pseudohermitian import derive_ph_invariants
-from contactmono.solver import SolveOpts, random_monopole_state, solve
+from contactmono.solver import SolveOpts, _pack, random_monopole_state, solve
 
+n, seed, eps = json.loads(sys.argv[1])
 m = catalog_model("heisenberg")
-init = random_monopole_state(m, HeisGridBackend(m, 16), seed=5)
-_, info = solve(m, None, init, SolveOpts(seed=5), ph=derive_ph_invariants(m))
-capped = sum(stop == 7 for stop, _ in info.cgls_steps)  # 7: stopped at the cap
-print(json.dumps([info.converged, info.stop_reason, info.cgls_steps, capped]))
+init = random_monopole_state(m, HeisGridBackend(m, n), seed=seed, eps=eps)
+state, info = solve(m, eps, init, SolveOpts(seed=seed), ph=derive_ph_invariants(m))
+state_sha256 = hashlib.sha256(_pack(state).tobytes()).hexdigest()
+print(json.dumps([info.converged, info.stop_reason, info.cgls_steps, state_sha256]))
 """
 
 
-@pytest.mark.slow
-def test_grid_contact_solve_seed5_capped_steps():
-    # the longest Krylov path known, N=16 contact from seed 5: its last three
-    # steps stop at CGLS_ITER_LIM.  BLAS threads split the dot products and
-    # move their roundoff (with two threads it takes 12 steps, 5 capped), so
-    # it runs on one thread, as the benchmark does.
+def _solve_on_one_thread(n, seed, eps):
+    """(converged, stop_reason, cgls_steps, sha256 of the packed final state)
+    of a grid solve in a subprocess on one BLAS thread, as the benchmark runs
+    it: BLAS threads split the dot products and move their roundoff."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     out = subprocess.run(
-        [sys.executable, "-c", SEED5_SOLVE], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", SOLVE_ONE_THREAD, json.dumps([n, seed, eps])],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
     )
-    converged, stop_reason, steps, capped = json.loads(out.stdout)
+    return json.loads(out.stdout)
+
+
+def test_grid_eps_solve_keeps_plain_cgls():
+    # the eps systems have at least as many rows as unknowns and run CGLS
+    # without a preconditioner: the N=8 eps = 1/2 solve from seed 0 keeps its
+    # Krylov sequence and its final state bit for bit
+    converged, stop_reason, steps, state_sha256 = _solve_on_one_thread(8, 0, 0.5)
     assert converged and stop_reason == "converged"
     assert steps == [
-        [1, 2], [1, 6], [1, 30], [1, 59], [1, 58], [1, 81], [1, 741],
-        [7, 3000], [7, 3000], [7, 3000],
+        [1, 1], [1, 3], [1, 20], [1, 102], [1, 55], [1, 112], [1, 65], [1, 74],
+        [1, 105], [1, 105],
     ]
-    assert capped == 3
+    assert state_sha256 == "547f3489cea2e01300a6013f522ff86d6a28d9ecedc02c5980441425d18238ab"
+
+
+@pytest.mark.slow
+def test_grid_contact_solve_seed5_steps():
+    # N=16 contact from seed 5 was the longest Krylov path known, 9,977
+    # CGLS iterations with its last three steps at CGLS_ITER_LIM; the
+    # preconditioned loop takes a few iterations per step
+    converged, stop_reason, steps, _ = _solve_on_one_thread(16, 5, None)
+    assert converged and stop_reason == "converged"
+    assert all(stop != 7 for stop, _ in steps)  # 7: stopped at the cap
+    assert sum(itn for _, itn in steps) <= 100
+    assert steps == [[1, 2], [1, 2], [1, 4], [1, 5], [1, 8], [1, 3]]
 
 
 @pytest.mark.parametrize("eps", [None, 0.5])
@@ -897,35 +922,177 @@ def test_compiled_linearisation_matches_fresh_assembly(model, kind, eps, constra
             jac *= scale
 
 
+def _step_scale(b):
+    """The contact system's step scale S (solve, HORIZONTAL_GAUGE_SCALE)."""
+    scale = np.ones(7 * b.n_points)
+    scale[5 * b.n_points :] = solver_mod.HORIZONTAL_GAUGE_SCALE
+    return scale
+
+
+# the slot ranges of the preconditioner's diagonal blocks: (Re alpha, Im
+# alpha), (Re beta, Im beta), a0, a1 and a2
+PRECOND_SLOTS = [(0, 2), (2, 4), (4, 5), (5, 6), (6, 7)]
+
+
+def _point_preconditioner(lin, b, step_scale):
+    """P = S J0^T J0 S + w^2 I assembled in point space, for J0 the Jacobian
+    of lin at x = 0 and w^2 = volume / n_points, on PRECOND_SLOTS' diagonal
+    blocks, as CSC."""
+    n3 = b.n_points
+    j0 = lin.jacobian(np.zeros(7 * n3), b)
+    s = scipy.sparse.diags(step_scale)
+    p = (s @ (j0.T @ j0) @ s).tocoo()
+    group = np.repeat([k for k, (lo, hi) in enumerate(PRECOND_SLOTS) for _ in range(lo, hi)], n3)
+    keep = group[p.row] == group[p.col]
+    p = scipy.sparse.csc_matrix((p.data[keep], (p.row[keep], p.col[keep])), shape=p.shape)
+    return p + (b.volume / n3) * scipy.sparse.identity(7 * n3, format="csc")
+
+
+def _min_p_norm_solution(a, rhs, p, b):
+    """The solution of the consistent grid step system a q = rhs of least
+    P-norm, by dense Cholesky factors: q = P^-1 A'^T (A' P^-1 A'^T)^-1 rhs',
+    where A' and rhs' drop the Coulomb row of one point per class of
+    (x, y, z) mod 2.  Each class's Coulomb rows sum to zero (the parity modes
+    are the kernel of the frame gradient), so A' has full row rank."""
+    n, n3 = b.n, b.n_points
+    drop = [5 * n3 + (x * n + y) * n + z for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    rows = np.setdiff1d(np.arange(a.shape[0]), drop)
+    a_rows, rhs_rows = a.tocsr()[rows].tocsc(), rhs[rows]
+    gram = np.zeros((len(rows),) * 2)
+    blocks = []
+    for lo, hi in PRECOND_SLOTS:
+        cols = slice(lo * n3, hi * n3)
+        a_g = a_rows[:, cols]
+        chol = scipy.linalg.cho_factor(p[cols, cols].toarray())
+        gram += a_g @ scipy.linalg.cho_solve(chol, a_g.T.toarray())
+        blocks.append((cols, a_g, chol))
+    y = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), rhs_rows)
+    q = np.zeros(a.shape[1])
+    for cols, a_g, chol in blocks:
+        q[cols] = scipy.linalg.cho_solve(chol, a_g.T @ y)
+    return q
+
+
 @pytest.mark.parametrize("eps", [None, 0.5])
 def test_lsqr_step_matches_lsqr_on_the_matrix(monkeypatch, eps):
-    # CGLS on the step systems of the first six N=8 steps from seed 0 stops
-    # where scipy's lsqr does, and both walk to the minimum-norm solution
+    # CGLS on the step systems of the first six N=8 steps from seed 0 meets
+    # its forcing term.  On the eps system it runs plain, stops where scipy's
+    # lsqr does, and both walk to the minimum-norm solution.  On the contact
+    # system it is preconditioned by P and walks to the solution of least
+    # P-norm, which a dense route computes
     systems = []
     cgls = solver_mod._cgls_step
 
-    def recording(jac, lin, rhs, eta, step_scale):
-        systems.append((jac.copy(), lin, rhs, eta, step_scale))
-        return cgls(jac, lin, rhs, eta, step_scale)
+    def recording(jac, *args):
+        systems.append((jac.copy(), *args))
+        return cgls(jac, *args)
 
     monkeypatch.setattr(solver_mod, "_cgls_step", recording)
-    init = random_monopole_state(HEIS, HeisGridBackend(HEIS, 8), seed=0, eps=eps)
+    b = HeisGridBackend(HEIS, 8)
+    init = random_monopole_state(HEIS, b, seed=0, eps=eps)
     solve(HEIS, eps, init, SolveOpts(max_iter=6), ph=PH_HEIS)
     assert len(systems) == 6
-    for jac, lin, rhs, eta, scale in systems:
+    for jac, lin, rhs, eta, scale, precond in systems:
+        assert (precond is None) == (eps is not None)
         scaled = jac.copy()
         if scale is not None:
             scaled.data *= scale[scaled.indices]
-        q, stop, itn, r_norm = cgls(jac.copy(), lin, rhs, eta, scale)
+        q, stop, itn, r_norm = cgls(jac.copy(), lin, rhs, eta, scale, precond)
         true_norm = np.linalg.norm(rhs - scaled @ q)
         assert stop == 1 and true_norm <= eta * np.linalg.norm(rhs)
         assert abs(r_norm - true_norm) <= 1e-10 * true_norm
-        want = spla.lsqr(scaled, rhs, atol=solver_mod.CGLS_ATOL, btol=eta, iter_lim=3000)
-        assert want[1] == 1 and abs(itn - want[2]) <= 2
-    assert itn > 40
-    q = cgls(jac.copy(), lin, rhs, 1e-10, scale)[0]
-    want = spla.lsqr(scaled, rhs, atol=solver_mod.CGLS_ATOL, btol=1e-10, iter_lim=3000)[0]
+        if precond is None:
+            want = spla.lsqr(scaled, rhs, atol=solver_mod.CGLS_ATOL, btol=eta, iter_lim=3000)
+            assert want[1] == 1 and abs(itn - want[2]) <= 2
+    if eps is None:
+        assert itn <= 10
+        q, stop, *_ = cgls(jac.copy(), lin, rhs, 1e-10, scale, precond)
+        assert stop == 1
+        want = _min_p_norm_solution(scaled, rhs, _point_preconditioner(lin, b, scale), b)
+        assert np.linalg.norm(scaled @ want - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    else:
+        assert itn > 40
+        q = cgls(jac.copy(), lin, rhs, 1e-10, scale)[0]
+        want = spla.lsqr(scaled, rhs, atol=solver_mod.CGLS_ATOL, btol=1e-10, iter_lim=3000)[0]
     assert np.linalg.norm(q - want) <= 1e-8 * np.linalg.norm(want)
+
+
+def _contact_system(n):
+    """(backend, system, step scale) of the N=n contact system, compiled
+    by one step from seed 0."""
+    b = HeisGridBackend(HEIS, n)
+    init = random_monopole_state(HEIS, b, seed=0)
+    solve(HEIS, None, init, SolveOpts(max_iter=1), ph=PH_HEIS)
+    return b, b.systems[PH_HEIS, None, False], _step_scale(b)
+
+
+def test_preconditioner_solves_the_point_space_system():
+    b, lin, scale = _contact_system(8)
+    v = np.random.default_rng(1).normal(size=7 * b.n_points)
+    want = spla.spsolve(_point_preconditioner(lin, b, scale), v)
+    got = lin.preconditioner(b, scale)(v)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_preconditioner_blocks_are_the_x_dft_of_the_z_blocks():
+    # each (slot, slot) block of P at kz is F B F^-1, for B its z-Fourier
+    # block (HeisGridBackend.z_blocks) and F the DFT over x, formed densely;
+    # blocks between slot groups are zero
+    b, lin, scale = _contact_system(8)
+    n, n3, m = b.n, b.n_points, b.n**2
+    blocks = list(solver_mod._preconditioner_blocks(lin.jacobian(np.zeros(7 * n3), b), b, scale))
+    point = _point_preconditioner(lin, b, scale).tocsr()
+    f = np.kron(np.fft.fft(np.eye(n)), np.eye(n))  # (x, y) -> (kx, y)
+    f_inv = np.linalg.inv(f)
+    tol = 1e-10 * abs(point).max()
+    group = {s: k for k, (lo, hi) in enumerate(PRECOND_SLOTS) for s in range(lo, hi)}
+    for s in range(7):
+        for t in range(7):
+            z_blocks = b.z_blocks(point[s * n3 : (s + 1) * n3, t * n3 : (t + 1) * n3])
+            for kz in range(n // 2 + 1):
+                got = blocks[kz][s * m : (s + 1) * m, t * m : (t + 1) * m].toarray()
+                if group[s] != group[t]:
+                    assert not got.any()
+                    continue
+                want = f @ z_blocks[kz * m : (kz + 1) * m, kz * m : (kz + 1) * m].toarray() @ f_inv
+                assert np.max(np.abs(got - want)) <= tol
+
+
+def test_contact_krylov_count_does_not_grow_with_n():
+    # preconditioned, the contact solve from seed 0 takes about as many CGLS
+    # iterations at N=16 and 24 as at N=8 (plain CGLS: 366, 579 and 1,450)
+    totals = []
+    for n in (8, 16, 24):
+        init = random_monopole_state(HEIS, HeisGridBackend(HEIS, n), seed=0)
+        _, info = solve(HEIS, None, init, SolveOpts(seed=0), ph=PH_HEIS)
+        assert info.converged
+        totals.append(sum(itn for _, itn in info.cgls_steps))
+    assert max(totals) <= 1.5 * totals[0] and totals[0] <= 40
+
+
+def test_preconditioner_lives_with_the_compiled_jacobian(monkeypatch):
+    # built at the first contact step of a backend, shared by a batch of
+    # seeds, released with the compiled Jacobian, and never built for an eps
+    # system
+    calls = []
+    blocks = solver_mod._preconditioner_blocks
+
+    def counting(*args):
+        calls.append(1)
+        return blocks(*args)
+
+    monkeypatch.setattr(solver_mod, "_preconditioner_blocks", counting)
+    b = HeisGridBackend(HEIS, 8)
+    assert not calls
+    for seed in (0, 1):
+        init = random_monopole_state(HEIS, b, seed=seed)
+        solve(HEIS, None, init, SolveOpts(max_iter=2), ph=PH_HEIS)
+    contact = b.systems[PH_HEIS, None, False]
+    assert len(calls) == 1 and contact._compiled.precond is not None
+    init = random_monopole_state(HEIS, b, seed=0, eps=0.5)
+    solve(HEIS, 0.5, init, SolveOpts(max_iter=2), ph=PH_HEIS)
+    assert len(calls) == 1 and contact._compiled is None
+    assert b.systems[PH_HEIS, 0.5, False]._compiled.precond is None
 
 
 @pytest.mark.parametrize("grid", [False, True])
@@ -1166,7 +1333,9 @@ def test_laplacian_factor_is_built_once_at_the_first_projection(monkeypatch):
     assert len(calls) == 1
     calls.clear()
     runs = _cli_runs({"command": "solve", "backend": "heis-grid", "N": 8, "seeds": 3})
-    assert len(runs) == 3 and len(calls) == 1
+    # the Laplacian's factor, and the contact system's preconditioner with
+    # one factor per kz block
+    assert len(runs) == 3 and len(calls) == 1 + b.n // 2 + 1
 
 
 def test_lowered_background_keeps_curvature_bit_identical():
