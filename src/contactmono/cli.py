@@ -141,8 +141,9 @@ def parse_config(doc: Mapping) -> RunConfig:
     cfg = RunConfig(**values)
     if cfg.backend not in ("invariant", "heis-grid"):
         raise ConfigError(f"backend must be invariant or heis-grid, got {cfg.backend!r}")
-    if cfg.backend == "heis-grid" and (cfg.N <= 0 or cfg.N % 2):
-        raise ConfigError("N must be even and positive for the grid backend")
+    if cfg.backend == "heis-grid" and (cfg.N < 4 or cfg.N % 2):
+        # HeisGridBackend: at N = 2 every frame stencil vanishes
+        raise ConfigError(f"N must be even and at least 4 for the grid backend, got {cfg.N}")
     if cfg.eps is not None and cfg.eps <= 0:
         raise ConfigError("eps must be positive")
     if cfg.eps_list is not None:

@@ -139,8 +139,10 @@ class HeisGridBackend(Backend):
     def __init__(self, model: ModelStructure, n: int):
         if not is_heisenberg(model):
             raise WrongModel("grid backend supports the Heisenberg model only")
-        if n % 2 != 0 or n <= 0:
-            raise ValueError("grid size N must be even and positive")
+        # at n = 2, x + 1 = x - 1 and the seam shift 2x = 0 (mod 2): each
+        # central difference reads one point twice and the stencils vanish
+        if n % 2 != 0 or n < 4:
+            raise ValueError(f"grid size N must be even and at least 4, got {n}")
         self.model = model
         self.n = n
         self.h = 1.0 / n

@@ -483,13 +483,18 @@ class _Linearisation:
     part (with the Coulomb rows on the grid) once, with a _Diag placeholder
     per diagonal, and the positions of the placeholders' entries in its data
     are kept.  Each call then evaluates the diagonals and adds them, scaled
-    and signed, at those positions to a copy of the data.
+    and signed, at those positions to a copy of the data.  On the grid the
+    copy is the data of the system's own CSR matrix J, and transpose fills
+    the data of its own J^T, so a Gauss-Newton step allocates no array of
+    J's size.
 
     A backend keeps one system per key (_system) but at most one compiled
     Jacobian: a compile first releases the compiled arrays of every system
-    in Backend.systems, and the preconditioner kept with them, so memory
-    does not grow with the eps values or seeds solved on one backend.  The linearisation is given its backend
-    with each vector, so the backend's systems hold no reference back to it.
+    in Backend.systems, with J, J^T, the column scale and the
+    preconditioner kept with them, so memory does not grow with the eps
+    values or seeds solved on one backend.  The linearisation is given its
+    backend with each vector, so the backend's systems hold no reference
+    back to it.
 
     A fresh assembly at u sums each entry's terms in its own order; here the
     diagonals come last.  Both agree bit for bit when no entry sums more than
@@ -529,12 +534,18 @@ class _Linearisation:
             nnz_keys += jac.indices
             keys = np.searchsorted(nnz_keys, keys)
             del nnz_keys
-            comp.data, comp.indices, comp.indptr = jac.data, jac.indices, jac.indptr
+            # jacobian() and transpose() rewrite the data of J and J^T in place
+            comp.jac, comp.data = jac, jac.data.copy()
             # J^T in CSR: the CSC arrays of J, with each entry's index in J's data
             order = sp.csr_matrix(
                 (np.arange(jac.nnz, dtype=np.int32), jac.indices, jac.indptr), shape=jac.shape
             ).tocsc()
-            comp.perm, comp.t_indices, comp.t_indptr = order.data, order.indices, order.indptr
+            # as intp, which np.take would otherwise convert it to per call
+            comp.perm = order.data.astype(np.intp)
+            comp.jac_t = sp.csr_matrix(
+                (np.empty(jac.nnz), order.indices, order.indptr), shape=shape[::-1]
+            )
+            del order
         else:
             # the sums of coo_matrix.toarray, in entry order, without
             # loading scipy.sparse for the invariant sector
@@ -548,7 +559,7 @@ class _Linearisation:
         comp.imag = np.array([m.imag for _, _, m in marks])
         weight = math.sqrt(b.volume / n3)
         comp.scale = np.array([[m.sign * weight] for _, _, m in marks])
-        comp.precond = None
+        comp.precond = comp.col_scale = None
         return comp
 
     def _compiled_on(self, b) -> SimpleNamespace:
@@ -560,32 +571,45 @@ class _Linearisation:
         return self._compiled
 
     def jacobian(self, x: np.ndarray, b):
-        """The Jacobian at the packed vector x on backend b: CSR with the
-        Coulomb rows on the grid, dense at one point.  Its data is a fresh
-        array, and the caller may scale it."""
+        """The Jacobian at the packed vector x on backend b: dense at one
+        point, a fresh array; on the grid the system's own CSR matrix with
+        the Coulomb rows, its data rewritten in place.  A grid Jacobian is
+        valid until the next call on this system, and the caller may scale
+        it."""
         comp = self._compiled_on(b)
         u = _slots(x, b)
         d = np.array([v for f in self.forms for v in f.diagonal(u).values()], dtype=complex)
-        d = d.reshape(len(d), -1)
-        vals = np.stack((d.real, d.imag))[comp.imag, comp.diag]
+        # (diagonal, point, real or imaginary part), gathered by mark
+        vals = d.view(float).reshape(len(d), -1, 2)[comp.diag, :, comp.imag]
         vals *= comp.scale
-        data = comp.data.copy()
+        grid = b.kind == "heis-grid"
+        data = comp.jac.data if grid else np.empty_like(comp.data)
+        np.copyto(data, comp.data)
         # marks that share an entry add to it in mark order
         np.add.at(data, comp.pos, vals.ravel())
-        if b.kind != "heis-grid":
-            return data.reshape(comp.shape)
-        import scipy.sparse as sp
-
-        return sp.csr_matrix((data, comp.indices, comp.indptr), shape=comp.shape)
+        return comp.jac if grid else data.reshape(comp.shape)
 
     def transpose(self, jac):
-        """The transpose of a grid jacobian() (scaled or not) as CSR."""
-        import scipy.sparse as sp
-
+        """The transpose of a grid jacobian() (scaled or not, or a copy of
+        one) as the system's own CSR matrix, its data rewritten in place."""
         comp = self._compiled
-        return sp.csr_matrix(
-            (jac.data[comp.perm], comp.t_indices, comp.t_indptr), shape=jac.shape[::-1]
-        )
+        # mode="clip" gathers straight into out: "raise" buffers it first
+        np.take(jac.data, comp.perm, out=comp.jac_t.data, mode="clip")
+        return comp.jac_t
+
+    def scale_columns(self, jac, step_scale):
+        """Multiply the columns of a grid jacobian() (or a copy of one) in
+        place by the diagonal step_scale.
+
+        Its data's factors step_scale[indices] are gathered at the first
+        call after a compile and released with the compiled Jacobian, as
+        the preconditioner that follows from the same step_scale is: one
+        compile serves one step_scale.
+        """
+        comp = self._compiled
+        if comp.col_scale is None:
+            comp.col_scale = step_scale[comp.jac.indices]
+        jac.data *= comp.col_scale
 
     def preconditioner(self, b, step_scale):
         """v -> M^-1 v for the CGLS of a grid step on A = J S (_cgls_step), S
@@ -603,7 +627,7 @@ class _Linearisation:
             import scipy.sparse as sp
             import scipy.sparse.linalg as spla
 
-            j0 = sp.csr_matrix((comp.data, comp.indices, comp.indptr), shape=comp.shape)
+            j0 = sp.csr_matrix((comp.data, comp.jac.indices, comp.jac.indptr), shape=comp.shape)
             comp.precond = [
                 spla.splu(p, relax=1, panel_size=1)
                 for p in _preconditioner_blocks(j0, b, step_scale)
@@ -644,7 +668,7 @@ def _preconditioner_blocks(j0, b, step_scale):
 
 def _grid_jacobian(x: np.ndarray, b, lin: _Linearisation) -> sp.csr_matrix:
     """Jacobian of the stacked real residual of lin at x, plus the Coulomb
-    rows, as CSR.
+    rows, as lin's own CSR matrix (valid until lin's next Jacobian).
 
     The last N^3 rows are the rows of _coulomb_form with the residual weight;
     solve pairs them with -div(a), which fixes the gauge directions of the
@@ -753,8 +777,9 @@ def _cgls_step(jac, lin: _Linearisation, rhs: np.ndarray, eta: float, step_scale
     diagonal step_scale (None for 1) and the preconditioner v -> M^-1 v
     (None for M = I): (q, stop, iterations, |rhs - A q|).
 
-    jac's columns are scaled in place, and the products with A^T run on the
-    CSR matrix lin.transpose(jac).  The search directions are M^-1 A^T r
+    jac's columns are scaled in place (lin.scale_columns), and the products
+    with A^T run on lin's own CSR matrix lin.transpose(jac), which the next
+    call overwrites.  The search directions are M^-1 A^T r
     (CG on the normal equations preconditioned by M).  From q = 0 the
     iterates stay in M^-1 times the range of A^T, so the step of a
     consistent underdetermined system is the one of least M-norm.  The stop
@@ -764,7 +789,7 @@ def _cgls_step(jac, lin: _Linearisation, rhs: np.ndarray, eta: float, step_scale
     solution.
     """
     if step_scale is not None:
-        jac.data *= step_scale[jac.indices]
+        lin.scale_columns(jac, step_scale)
     jac_t = lin.transpose(jac)
     a_norm = float(np.linalg.norm(jac.data))
     q = np.zeros(jac.shape[1])
@@ -920,7 +945,6 @@ def solve(
             precond = None if step_scale is None else lin.preconditioner(backend, step_scale)
             jac = _grid_jacobian(x, backend, lin)
             q, stop, itn, lin_norm = _cgls_step(jac, lin, rhs, eta, step_scale, precond)
-            del jac  # freed before the next step builds its own
             p = q if step_scale is None else step_scale * q
             prev = (fnorm, lin_norm)
             cgls_steps.append((stop, itn))

@@ -33,6 +33,11 @@ def test_parse_config_rejects_increasing_eps():
 def test_parse_config_rejects_odd_grid_and_unknown_keys():
     with pytest.raises(ConfigError):
         parse_config({"command": "solve", "backend": "heis-grid", "N": 7})
+    # at N = 2 every frame stencil vanishes (HeisGridBackend)
+    for n in (-2, 0, 2):
+        with pytest.raises(ConfigError, match="even and at least 4"):
+            parse_config({"command": "solve", "backend": "heis-grid", "N": n})
+    assert parse_config({"command": "solve", "backend": "heis-grid", "N": 4}).N == 4
     with pytest.raises(ConfigError):
         parse_config({"command": "derive", "frobnicate": 1})
     with pytest.raises(ConfigError):
@@ -307,6 +312,7 @@ HUGE_P = '{"name": "g", "p": "1e400", "q": "1"}'
         (["sweep", "--eps-list", "1/2,-1/4"], "entries must be positive"),
         (["derive", "--model", os.path.dirname(__file__)], "cannot read model"),
         (["derive", "--output", "/no/such/dir/r.json"], "cannot write report"),
+        (["solve", "--backend", "heis-grid", "--N", "2"], "N must be even and at least 4"),
     ],
 )
 def test_main_bad_input_exits_3(argv, fragment, capsys):

@@ -37,6 +37,18 @@ def grid16():
     return HeisGridBackend(HEIS, 16)
 
 
+def test_grid_size_is_even_and_at_least_4():
+    # at N = 2, x + 1 = x - 1 and the seam shift 2x = 0 (mod 2): every
+    # central difference would read one point twice and every stencil vanish
+    for n in (-2, 0, 2, 3, 7):
+        with pytest.raises(ValueError, match="even and at least 4"):
+            HeisGridBackend(HEIS, n)
+    b = HeisGridBackend(HEIS, 4)
+    x, y, z = b.coords()
+    f = np.sin(2 * np.pi * x) + np.cos(2 * np.pi * y) + np.sin(2 * np.pi * z)
+    assert all(np.abs(b.apply(k, f)).max() > 0.5 for k in range(len(b.stencils)))
+
+
 def test_twisted_wrap_consistency(grid16):
     # one full loop in y composes to a pure z-shift by -2i cells per x-slab
     b = grid16

@@ -1,9 +1,12 @@
 import dataclasses
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -675,6 +678,15 @@ def test_grid_eps_solve_keeps_plain_cgls():
     assert state_sha256 == "547f3489cea2e01300a6013f522ff86d6a28d9ecedc02c5980441425d18238ab"
 
 
+def test_grid_contact_solve_keeps_its_path():
+    # the benchmark's grid-contact solve, unrotated: the N=16 contact solve
+    # from seed 0 keeps its Krylov sequence and its final state bit for bit
+    converged, stop_reason, steps, state_sha256 = _solve_on_one_thread(16, 0, None)
+    assert converged and stop_reason == "converged"
+    assert steps == [[1, 2], [1, 2], [1, 2], [1, 5], [1, 3], [1, 6]]
+    assert state_sha256 == "be919dc5ec0e2f9f6768ad745901fdbad8344f244d2fc99809fd3bf01065159d"
+
+
 @pytest.mark.slow
 def test_grid_contact_solve_seed5_steps():
     # N=16 contact from seed 5 was the longest Krylov path known, 9,977
@@ -922,6 +934,52 @@ def test_compiled_linearisation_matches_fresh_assembly(model, kind, eps, constra
             jac *= scale
 
 
+@pytest.mark.parametrize("eps", [None, 0.5])
+def test_grid_jacobian_is_evaluated_in_place(eps):
+    # a grid system owns its J and J^T and rewrites their data: the second
+    # state's Jacobian is the first's matrix, equal to a fresh assembly at
+    # the second state (no marked entry of the first left), and its
+    # transpose follows the column scaling
+    b = HeisGridBackend(HEIS, 8)
+    first, second = (random_monopole_state(HEIS, b, seed=seed, eps=eps) for seed in (0, 1))
+    lin = solver_mod._system(first, PH_HEIS, False)
+    jac = lin.jacobian(solver_mod._pack(first), b)
+    at_first = jac.data.copy()
+    jac_t = lin.transpose(jac)
+    assert lin.jacobian(solver_mod._pack(second), b) is jac
+    assert not np.array_equal(jac.data, at_first)
+    assert jacobian_bytes(jac) == jacobian_bytes(fresh_jacobian(second, lin.forms))
+    scale = np.random.default_rng(1).uniform(0.5, 2.0, size=7 * b.n_points)
+    want = jac.copy()
+    want.data *= scale[want.indices]
+    lin.scale_columns(jac, scale)
+    assert jacobian_bytes(jac) == jacobian_bytes(want)
+    assert lin.transpose(jac) is jac_t
+    assert jacobian_bytes(jac_t) == jacobian_bytes(want.T.tocsr())
+
+
+def test_contact_step_allocates_no_jacobian_sized_array():
+    # a warm contact step (Jacobian, column scaling, transpose) allocates
+    # less than one float array of the Jacobian's nnz: its data, the column
+    # factors and J^T's data are the compiled system's own
+    b, lin, scale = _contact_system(16)
+    x = solver_mod._pack(random_monopole_state(HEIS, b, seed=1))
+
+    def step():
+        jac = solver_mod._grid_jacobian(x, b, lin)
+        lin.scale_columns(jac, scale)
+        return lin.transpose(jac).nnz
+
+    nnz = step()
+    tracemalloc.start()
+    try:
+        step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * nnz
+
+
 def _step_scale(b):
     """The contact system's step scale S (solve, HORIZONTAL_GAUGE_SCALE)."""
     scale = np.ones(7 * b.n_points)
@@ -1088,11 +1146,19 @@ def test_preconditioner_lives_with_the_compiled_jacobian(monkeypatch):
         init = random_monopole_state(HEIS, b, seed=seed)
         solve(HEIS, None, init, SolveOpts(max_iter=2), ph=PH_HEIS)
     contact = b.systems[PH_HEIS, None, False]
-    assert len(calls) == 1 and contact._compiled.precond is not None
+    comp = contact._compiled
+    assert len(calls) == 1 and comp.precond is not None
+    # the matrices that each step rewrites and the gathered column scale
+    # are kept with it, and released with it too
+    kept = [weakref.ref(a) for a in (comp.jac, comp.jac_t, comp.col_scale)]
+    del comp
     init = random_monopole_state(HEIS, b, seed=0, eps=0.5)
     solve(HEIS, 0.5, init, SolveOpts(max_iter=2), ph=PH_HEIS)
     assert len(calls) == 1 and contact._compiled is None
-    assert b.systems[PH_HEIS, 0.5, False]._compiled.precond is None
+    gc.collect()
+    assert all(ref() is None for ref in kept)
+    eps_comp = b.systems[PH_HEIS, 0.5, False]._compiled
+    assert eps_comp.precond is None and eps_comp.col_scale is None
 
 
 @pytest.mark.parametrize("grid", [False, True])
