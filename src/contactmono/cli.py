@@ -524,12 +524,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run the command line; exit codes 0, 1 and 2 as in run, INPUT_ERROR on bad input."""
+    """Run the command line; exit codes 0, 1 and 2 as in run, INPUT_ERROR on bad
+    input, a grid too large for memory included."""
     args = build_parser().parse_args(argv)
     try:
         code, _ = run(parse_config(_flags_over_config(args)))
     except INPUT_ERRORS as exc:
         sys.stderr.write(f"contactmono: error: {exc}\n")
+        return INPUT_ERROR
+    except MemoryError as exc:
+        sys.stderr.write(f"contactmono: error: out of memory: {exc}\n")
         return INPUT_ERROR
     return code
 

@@ -472,6 +472,21 @@ def _coulomb_form(backend) -> _Form:
 # (Re alpha, Im alpha), (Re beta, Im beta), a0, a1 and a2
 _PRECOND_GROUPS = np.array([0, 0, 1, 1, 2, 3, 4])
 
+# A grid system with fewer rows than unknowns (the contact system without the
+# Reeb constraint: six real equations per point, Coulomb row included, for
+# seven unknowns) has a minimum-norm step, and the norm decides which solution
+# Gauss-Newton walks to.  Its CGLS on J is preconditioned by v -> S P^-1 (S v)
+# (_Linearisation.preconditioner), for P = S J0^T J0 S + w^2 I and S the
+# diagonal of _SLOT_SCALE: HORIZONTAL_GAUGE_SCALE on the a1re and a2re slots
+# and 1 elsewhere.  The step is then the one of least
+# (J0^T J0 + w^2 S^-2)-norm, in which horizontal gauge moves count twice.
+# With S = 1 the N=8 contact solves from seeds 0-9 take up to 80 steps, and
+# seed 9 runs to max-iter (README, "Numerical backends").  Systems with at
+# least as many rows as unknowns (the eps family) run plain CGLS.  S is a
+# power of two, so scaling by it is exact.
+HORIZONTAL_GAUGE_SCALE = 0.5
+_SLOT_SCALE = np.array([1.0] * 5 + [HORIZONTAL_GAUGE_SCALE] * 2)
+
 
 class _Linearisation:
     """An equation system: its forms, and their Jacobian, compiled once and
@@ -490,11 +505,10 @@ class _Linearisation:
 
     A backend keeps one system per key (_system) but at most one compiled
     Jacobian: a compile first releases the compiled arrays of every system
-    in Backend.systems, with J, J^T, the column scale and the
-    preconditioner kept with them, so memory does not grow with the eps
-    values or seeds solved on one backend.  The linearisation is given its
-    backend with each vector, so the backend's systems hold no reference
-    back to it.
+    in Backend.systems, with J, J^T and the preconditioner kept with them,
+    so memory does not grow with the eps values or seeds solved on one
+    backend.  The linearisation is given its backend with each vector, so
+    the backend's systems hold no reference back to it.
 
     A fresh assembly at u sums each entry's terms in its own order; here the
     diagonals come last.  Both agree bit for bit when no entry sums more than
@@ -559,7 +573,7 @@ class _Linearisation:
         comp.imag = np.array([m.imag for _, _, m in marks])
         weight = math.sqrt(b.volume / n3)
         comp.scale = np.array([[m.sign * weight] for _, _, m in marks])
-        comp.precond = comp.col_scale = None
+        comp.precond = None
         return comp
 
     def _compiled_on(self, b) -> SimpleNamespace:
@@ -574,8 +588,7 @@ class _Linearisation:
         """The Jacobian at the packed vector x on backend b: dense at one
         point, a fresh array; on the grid the system's own CSR matrix with
         the Coulomb rows, its data rewritten in place.  A grid Jacobian is
-        valid until the next call on this system, and the caller may scale
-        it."""
+        valid until the next call on this system."""
         comp = self._compiled_on(b)
         u = _slots(x, b)
         d = np.array([v for f in self.forms for v in f.diagonal(u).values()], dtype=complex)
@@ -590,64 +603,58 @@ class _Linearisation:
         return comp.jac if grid else data.reshape(comp.shape)
 
     def transpose(self, jac):
-        """The transpose of a grid jacobian() (scaled or not, or a copy of
-        one) as the system's own CSR matrix, its data rewritten in place."""
+        """The transpose of a grid jacobian() (or of a copy of one, whatever
+        its data) as the system's own CSR matrix, its data rewritten in
+        place."""
         comp = self._compiled
         # mode="clip" gathers straight into out: "raise" buffers it first
         np.take(jac.data, comp.perm, out=comp.jac_t.data, mode="clip")
         return comp.jac_t
 
-    def scale_columns(self, jac, step_scale):
-        """Multiply the columns of a grid jacobian() (or a copy of one) in
-        place by the diagonal step_scale.
+    def preconditioner(self, b):
+        """v -> S P^-1 (S v) for the CGLS of a grid step on J (_cgls_step),
+        P of _preconditioner_blocks and S the diagonal of _SLOT_SCALE over
+        the points; None for a system with at least as many rows as
+        unknowns, which runs plain CGLS (HORIZONTAL_GAUGE_SCALE).
 
-        Its data's factors step_scale[indices] are gathered at the first
-        call after a compile and released with the compiled Jacobian, as
-        the preconditioner that follows from the same step_scale is: one
-        compile serves one step_scale.
-        """
-        comp = self._compiled
-        if comp.col_scale is None:
-            comp.col_scale = step_scale[comp.jac.indices]
-        jac.data *= comp.col_scale
-
-    def preconditioner(self, b, step_scale):
-        """v -> M^-1 v for the CGLS of a grid step on A = J S (_cgls_step), S
-        the diagonal step_scale, M = P of _preconditioner_blocks.
-
+        CGLS on J so preconditioned is CGLS on J S preconditioned by P with
+        its iterates multiplied by S, bit for bit: S is a power of two.
         P is factored one kz block at a time, built at the first call after
-        a compile and released with the compiled Jacobian; M^-1 v runs in
+        a compile and released with the compiled Jacobian; P^-1 runs in
         HeisGridBackend.xz_fourier.  SuperLU's relaxed supernodes and panels
         hold dense workspace: without them the N=16 factors keep 2.5 MB of
         resident memory, against 11.5 MB with scipy's defaults and 4.8 MB
         as one factor of all the blocks.
         """
         comp = self._compiled_on(b)
+        if comp.shape[0] >= comp.shape[1]:
+            return None
         if comp.precond is None:
             import scipy.sparse as sp
             import scipy.sparse.linalg as spla
 
             j0 = sp.csr_matrix((comp.data, comp.jac.indices, comp.jac.indptr), shape=comp.shape)
             comp.precond = [
-                spla.splu(p, relax=1, panel_size=1)
-                for p in _preconditioner_blocks(j0, b, step_scale)
+                spla.splu(p, relax=1, panel_size=1) for p in _preconditioner_blocks(j0, b)
             ]
         factors = comp.precond
+        scale = _SLOT_SCALE[:, None]
 
         def solve(v):
-            blocks = b.xz_fourier(v)
-            return b.xz_fourier_inverse(np.array([f.solve(u) for f, u in zip(factors, blocks)]))
+            blocks = b.xz_fourier(scale * np.reshape(v, (7, -1)))
+            u = b.xz_fourier_inverse(np.array([f.solve(w) for f, w in zip(factors, blocks)]))
+            return (scale * u.reshape(7, -1)).ravel()
 
         return solve
 
 
-def _preconditioner_blocks(j0, b, step_scale):
+def _preconditioner_blocks(j0, b):
     """P = S J0^T J0 S + w^2 I in (kz, kx) blocks: yields, for kz = 0..N/2,
     its block as CSC acting on row kz of HeisGridBackend.xz_fourier(v) for
     v the seven slots.  J0 is the Jacobian at x = 0 with the Coulomb rows
-    (the compiled linear part), S the diagonal step_scale and
-    w^2 = volume / n_points.  P keeps only its five diagonal blocks of
-    slots, _PRECOND_GROUPS.
+    (the compiled linear part), S the diagonal of _SLOT_SCALE over the
+    points and w^2 = volume / n_points.  P keeps only its five diagonal
+    blocks of slots, _PRECOND_GROUPS.
 
     J0 is built from the frame stencils, so its blocks are
     HeisGridBackend.xz_blocks(J0), and P's are products of them, one kz at
@@ -656,10 +663,10 @@ def _preconditioner_blocks(j0, b, step_scale):
     import scipy.sparse as sp
 
     m = b.n**2
-    col_scale = np.repeat(step_scale[:: b.n_points], m)
+    scale = np.repeat(_SLOT_SCALE, m)
     group = np.repeat(_PRECOND_GROUPS, m)
     for j in b.xz_blocks(j0):
-        j.data *= col_scale[j.indices]
+        j.data *= scale[j.indices]
         p = (j.conj().T @ j).tocoo()
         keep = group[p.row] == group[p.col]
         p = sp.csc_matrix((p.data[keep], (p.row[keep], p.col[keep])), shape=p.shape)
@@ -741,18 +748,6 @@ CGLS_ATOL = 1e-14
 CGLS_ITER_LIM = 3000
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
-# A grid system with fewer rows than unknowns (the contact system without the
-# Reeb constraint: six real equations per point, Coulomb row included, for
-# seven unknowns) has a minimum-norm step, and the norm decides which solution
-# Gauss-Newton walks to.  CGLS runs on J S with S = HORIZONTAL_GAUGE_SCALE on
-# the a1re, a2re columns and 1 elsewhere, preconditioned by
-# P = S J0^T J0 S + w^2 I (_Linearisation.preconditioner), and the step is
-# S q, q the least-P-norm solution.  With S = 1 the N=8 contact solves from
-# seeds 0-9 take up to 80 steps, and seed 9 runs to max-iter (README,
-# "Numerical backends").  Systems with at least as many rows as unknowns
-# (the eps family) run plain CGLS.
-HORIZONTAL_GAUGE_SCALE = 0.5
-
 
 def _forcing_term(
     eta_prev: float, fnorm: float, fnorm_prev: float, lin_prev: float, tol: float
@@ -772,39 +767,33 @@ def _forcing_term(
     return min(max(eta, ETA_MIN), ETA_MAX)
 
 
-def _cgls_step(jac, lin: _Linearisation, rhs: np.ndarray, eta: float, step_scale, precond=None):
-    """CGLS (Bjorck 1996, sec. 7.4) on A = jac S from q = 0, for S the
-    diagonal step_scale (None for 1) and the preconditioner v -> M^-1 v
-    (None for M = I): (q, stop, iterations, |rhs - A q|).
+def _cgls_step(jac, jac_t, rhs: np.ndarray, eta: float, precond=None):
+    """CGLS (Bjorck 1996, sec. 7.4) on jac from p = 0, with jac_t its
+    transpose and the preconditioner v -> M^-1 v (None for M = I):
+    (p, stop, iterations, |rhs - jac p|).
 
-    jac's columns are scaled in place (lin.scale_columns), and the products
-    with A^T run on lin's own CSR matrix lin.transpose(jac), which the next
-    call overwrites.  The search directions are M^-1 A^T r
-    (CG on the normal equations preconditioned by M).  From q = 0 the
-    iterates stay in M^-1 times the range of A^T, so the step of a
-    consistent underdetermined system is the one of least M-norm.  The stop
-    codes are lsqr's: 1 when |r| <= eta |rhs|, 2 when |A^T r| <= CGLS_ATOL
-    ||A||_F |r| (q solves the least-squares problem to roundoff), 7 after
-    CGLS_ITER_LIM iterations, and 0 when A^T rhs = 0 and q = 0 is the
-    solution.
+    The search directions are M^-1 J^T r (CG on the normal equations
+    preconditioned by M).  From p = 0 the iterates stay in M^-1 times the
+    range of J^T, so the step of a consistent underdetermined system is the
+    one of least M-norm.  The stop codes are lsqr's: 1 when
+    |r| <= eta |rhs|, 2 when |J^T r| <= CGLS_ATOL ||J||_F |r| (p solves the
+    least-squares problem to roundoff), 7 after CGLS_ITER_LIM iterations,
+    and 0 when J^T rhs = 0 and p = 0 is the solution.
     """
-    if step_scale is not None:
-        lin.scale_columns(jac, step_scale)
-    jac_t = lin.transpose(jac)
     a_norm = float(np.linalg.norm(jac.data))
-    q = np.zeros(jac.shape[1])
+    p = np.zeros(jac.shape[1])
     r = rhs.copy()
     s = jac_t @ r
     z = s if precond is None else precond(s)
-    p = z
+    d = z
     gamma = float(s @ z)
     r_norm = rhs_norm = float(np.linalg.norm(rhs))
     stop, itn = 0, 0
     while gamma > 0:
         itn += 1
-        t = jac @ p
+        t = jac @ d
         step = gamma / float(t @ t)
-        q += step * p
+        p += step * d
         r -= step * t
         s = jac_t @ r
         z = s if precond is None else precond(s)
@@ -812,15 +801,15 @@ def _cgls_step(jac, lin: _Linearisation, rhs: np.ndarray, eta: float, step_scale
         r_norm = float(np.linalg.norm(r))
         if r_norm <= eta * rhs_norm:
             stop = 1
-        # |A^T r|: gamma is its square when there is no preconditioner
+        # |J^T r|: gamma is its square when there is no preconditioner
         elif math.sqrt(gamma if precond is None else float(s @ s)) <= CGLS_ATOL * a_norm * r_norm:
             stop = 2
         elif itn >= CGLS_ITER_LIM:
             stop = 7
         if stop:
             break
-        p = z + (gamma / gamma_prev) * p
-    return q, stop, itn, r_norm
+        d = z + (gamma / gamma_prev) * d
+    return p, stop, itn, r_norm
 
 
 # the loop stops once the residual norm is below LOOP_TOL_*, and a solve has
@@ -892,8 +881,9 @@ def solve(
     """Damped Gauss-Newton on the stacked residual, with gauge fixing.
 
     Invariant sector: exact least-squares steps.  Grid: inexact steps by
-    CGLS on the Jacobian with the Coulomb rows appended, preconditioned on
-    the contact system (see _forcing_term and HORIZONTAL_GAUGE_SCALE).  The equation system is the backend's
+    CGLS on the Jacobian with the Coulomb rows appended, preconditioned by
+    _Linearisation.preconditioner on the contact system (see _forcing_term
+    and HORIZONTAL_GAUGE_SCALE).  The equation system is the backend's
     (_system), so the solves of a batch share it: its forms are built at the
     first use of (ph, eps, constraint) on the backend, and its Jacobian
     compiles only when another system was compiled on the backend since.  A
@@ -925,10 +915,6 @@ def solve(
     cost = float(r @ r)
     iterations = 0
     loop_tol = LOOP_TOL_GRID if grid else LOOP_TOL_INVARIANT
-    step_scale = None
-    if grid and r.size + backend.n_points < x.size:  # underdetermined: see above
-        step_scale = np.ones(x.size)
-        step_scale[5 * backend.n_points :] = HORIZONTAL_GAUGE_SCALE
     eta, prev = ETA_START, None  # prev: (|F|, |F + J p|) of the last grid step
     stalled = False
     cgls_steps = []
@@ -942,10 +928,9 @@ def solve(
             if prev is not None:
                 eta = _forcing_term(eta, fnorm, *prev, loop_tol)
             # built before the Jacobian, into the memory its compile freed
-            precond = None if step_scale is None else lin.preconditioner(backend, step_scale)
+            precond = lin.preconditioner(backend)
             jac = _grid_jacobian(x, backend, lin)
-            q, stop, itn, lin_norm = _cgls_step(jac, lin, rhs, eta, step_scale, precond)
-            p = q if step_scale is None else step_scale * q
+            p, stop, itn, lin_norm = _cgls_step(jac, lin.transpose(jac), rhs, eta, precond)
             prev = (fnorm, lin_norm)
             cgls_steps.append((stop, itn))
         else:

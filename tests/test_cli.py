@@ -396,6 +396,17 @@ def test_main_maps_each_input_error_to_exit_3(error, monkeypatch, capsys):
     _one_line_error(capsys, "bad input")
 
 
+def test_main_reports_running_out_of_memory(monkeypatch, capsys):
+    # a grid too large to allocate gets one line and the input-error exit;
+    # the backend raises at once, as numpy does for an array of petabytes
+    def too_large(cfg, m):
+        raise MemoryError("Unable to allocate 7.28 PiB for an array")
+
+    monkeypatch.setattr(cli, "_backend", too_large)
+    assert main(["solve", "--backend", "heis-grid", "--N", "100000"]) == 3
+    _one_line_error(capsys, "contactmono: error: out of memory: Unable to allocate")
+
+
 @pytest.mark.parametrize(
     "argv", [["solve", "--threads", "2"], ["fly"], ["solve", "--N", "eight"]]
 )

@@ -915,8 +915,9 @@ LINEARISATION_CASES = [
     ids=[f"{m.name}-{k}-{e}" for m, k, e in LINEARISATION_CASES],
 )
 def test_compiled_linearisation_matches_fresh_assembly(model, kind, eps, constraint):
-    # one compiled structure serves successive states; solve scales each
-    # result's columns in place, which must not reach the next result
+    # one compiled structure serves successive states; a caller may rewrite
+    # a result's data (here: scale its columns), which must not reach the
+    # next result
     ph = derive_ph_invariants(model)
     b = HeisGridBackend(model, 8) if kind == "grid" else InvariantBackend(model)
     states = [random_monopole_state(model, b, seed=seed, eps=eps) for seed in range(3)]
@@ -939,7 +940,7 @@ def test_grid_jacobian_is_evaluated_in_place(eps):
     # a grid system owns its J and J^T and rewrites their data: the second
     # state's Jacobian is the first's matrix, equal to a fresh assembly at
     # the second state (no marked entry of the first left), and its
-    # transpose follows the column scaling
+    # transpose follows its data, as evaluated and as rewritten
     b = HeisGridBackend(HEIS, 8)
     first, second = (random_monopole_state(HEIS, b, seed=seed, eps=eps) for seed in (0, 1))
     lin = solver_mod._system(first, PH_HEIS, False)
@@ -949,25 +950,24 @@ def test_grid_jacobian_is_evaluated_in_place(eps):
     assert lin.jacobian(solver_mod._pack(second), b) is jac
     assert not np.array_equal(jac.data, at_first)
     assert jacobian_bytes(jac) == jacobian_bytes(fresh_jacobian(second, lin.forms))
-    scale = np.random.default_rng(1).uniform(0.5, 2.0, size=7 * b.n_points)
-    want = jac.copy()
-    want.data *= scale[want.indices]
-    lin.scale_columns(jac, scale)
-    assert jacobian_bytes(jac) == jacobian_bytes(want)
     assert lin.transpose(jac) is jac_t
-    assert jacobian_bytes(jac_t) == jacobian_bytes(want.T.tocsr())
+    assert jacobian_bytes(jac_t) == jacobian_bytes(jac.T.tocsr())
+    scale = np.random.default_rng(1).uniform(0.5, 2.0, size=7 * b.n_points)
+    jac.data *= scale[jac.indices]
+    assert lin.transpose(jac) is jac_t
+    assert jacobian_bytes(jac_t) == jacobian_bytes(jac.T.tocsr())
 
 
 def test_contact_step_allocates_no_jacobian_sized_array():
-    # a warm contact step (Jacobian, column scaling, transpose) allocates
-    # less than one float array of the Jacobian's nnz: its data, the column
-    # factors and J^T's data are the compiled system's own
-    b, lin, scale = _contact_system(16)
+    # a warm contact step (preconditioner, Jacobian, transpose) allocates
+    # less than one float array of the Jacobian's nnz: its data and J^T's
+    # data are the compiled system's own
+    b, lin, _ = _contact_system(16)
     x = solver_mod._pack(random_monopole_state(HEIS, b, seed=1))
 
     def step():
+        lin.preconditioner(b)
         jac = solver_mod._grid_jacobian(x, b, lin)
-        lin.scale_columns(jac, scale)
         return lin.transpose(jac).nnz
 
     nnz = step()
@@ -981,7 +981,8 @@ def test_contact_step_allocates_no_jacobian_sized_array():
 
 
 def _step_scale(b):
-    """The contact system's step scale S (solve, HORIZONTAL_GAUGE_SCALE)."""
+    """The contact system's step scale S: HORIZONTAL_GAUGE_SCALE on the
+    a1re and a2re slots, 1 elsewhere."""
     scale = np.ones(7 * b.n_points)
     scale[5 * b.n_points :] = solver_mod.HORIZONTAL_GAUGE_SCALE
     return scale
@@ -992,13 +993,13 @@ def _step_scale(b):
 PRECOND_SLOTS = [(0, 2), (2, 4), (4, 5), (5, 6), (6, 7)]
 
 
-def _point_preconditioner(lin, b, step_scale):
+def _point_preconditioner(lin, b):
     """P = S J0^T J0 S + w^2 I assembled in point space, for J0 the Jacobian
-    of lin at x = 0 and w^2 = volume / n_points, on PRECOND_SLOTS' diagonal
-    blocks, as CSC."""
+    of lin at x = 0, S the step scale and w^2 = volume / n_points, on
+    PRECOND_SLOTS' diagonal blocks, as CSC."""
     n3 = b.n_points
     j0 = lin.jacobian(np.zeros(7 * n3), b)
-    s = scipy.sparse.diags(step_scale)
+    s = scipy.sparse.diags(_step_scale(b))
     p = (s @ (j0.T @ j0) @ s).tocoo()
     group = np.repeat([k for k, (lo, hi) in enumerate(PRECOND_SLOTS) for _ in range(lo, hi)], n3)
     keep = group[p.row] == group[p.col]
@@ -1036,43 +1037,43 @@ def test_lsqr_step_matches_lsqr_on_the_matrix(monkeypatch, eps):
     # CGLS on the step systems of the first six N=8 steps from seed 0 meets
     # its forcing term.  On the eps system it runs plain, stops where scipy's
     # lsqr does, and both walk to the minimum-norm solution.  On the contact
-    # system it is preconditioned by P and walks to the solution of least
-    # P-norm, which a dense route computes
+    # system it is preconditioned by S P^-1 S and walks to S q, for q the
+    # solution of J S q = rhs of least P-norm, which a dense route computes
     systems = []
     cgls = solver_mod._cgls_step
 
-    def recording(jac, *args):
-        systems.append((jac.copy(), *args))
-        return cgls(jac, *args)
+    def recording(jac, jac_t, *args):
+        systems.append((jac.copy(), jac_t.copy(), *args))
+        return cgls(jac, jac_t, *args)
 
     monkeypatch.setattr(solver_mod, "_cgls_step", recording)
     b = HeisGridBackend(HEIS, 8)
     init = random_monopole_state(HEIS, b, seed=0, eps=eps)
     solve(HEIS, eps, init, SolveOpts(max_iter=6), ph=PH_HEIS)
     assert len(systems) == 6
-    for jac, lin, rhs, eta, scale, precond in systems:
+    for jac, jac_t, rhs, eta, precond in systems:
         assert (precond is None) == (eps is not None)
-        scaled = jac.copy()
-        if scale is not None:
-            scaled.data *= scale[scaled.indices]
-        q, stop, itn, r_norm = cgls(jac.copy(), lin, rhs, eta, scale, precond)
-        true_norm = np.linalg.norm(rhs - scaled @ q)
+        p, stop, itn, r_norm = cgls(jac, jac_t, rhs, eta, precond)
+        true_norm = np.linalg.norm(rhs - jac @ p)
         assert stop == 1 and true_norm <= eta * np.linalg.norm(rhs)
         assert abs(r_norm - true_norm) <= 1e-10 * true_norm
         if precond is None:
-            want = spla.lsqr(scaled, rhs, atol=solver_mod.CGLS_ATOL, btol=eta, iter_lim=3000)
+            want = spla.lsqr(jac, rhs, atol=solver_mod.CGLS_ATOL, btol=eta, iter_lim=3000)
             assert want[1] == 1 and abs(itn - want[2]) <= 2
     if eps is None:
         assert itn <= 10
-        q, stop, *_ = cgls(jac.copy(), lin, rhs, 1e-10, scale, precond)
+        p, stop, *_ = cgls(jac, jac_t, rhs, 1e-10, precond)
         assert stop == 1
-        want = _min_p_norm_solution(scaled, rhs, _point_preconditioner(lin, b, scale), b)
-        assert np.linalg.norm(scaled @ want - rhs) <= 1e-10 * np.linalg.norm(rhs)
+        lin = b.systems[PH_HEIS, None, False]
+        scale = _step_scale(b)
+        scaled = jac @ scipy.sparse.diags(scale)
+        want = scale * _min_p_norm_solution(scaled, rhs, _point_preconditioner(lin, b), b)
+        assert np.linalg.norm(jac @ want - rhs) <= 1e-10 * np.linalg.norm(rhs)
     else:
         assert itn > 40
-        q = cgls(jac.copy(), lin, rhs, 1e-10, scale)[0]
-        want = spla.lsqr(scaled, rhs, atol=solver_mod.CGLS_ATOL, btol=1e-10, iter_lim=3000)[0]
-    assert np.linalg.norm(q - want) <= 1e-8 * np.linalg.norm(want)
+        p = cgls(jac, jac_t, rhs, 1e-10)[0]
+        want = spla.lsqr(jac, rhs, atol=solver_mod.CGLS_ATOL, btol=1e-10, iter_lim=3000)[0]
+    assert np.linalg.norm(p - want) <= 1e-8 * np.linalg.norm(want)
 
 
 def _contact_system(n):
@@ -1085,10 +1086,11 @@ def _contact_system(n):
 
 
 def test_preconditioner_solves_the_point_space_system():
+    # the contact step's preconditioner is v -> S P^-1 (S v)
     b, lin, scale = _contact_system(8)
     v = np.random.default_rng(1).normal(size=7 * b.n_points)
-    want = spla.spsolve(_point_preconditioner(lin, b, scale), v)
-    got = lin.preconditioner(b, scale)(v)
+    want = scale * spla.spsolve(_point_preconditioner(lin, b), scale * v)
+    got = lin.preconditioner(b)(v)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
@@ -1096,10 +1098,10 @@ def test_preconditioner_blocks_are_the_x_dft_of_the_z_blocks():
     # each (slot, slot) block of P at kz is F B F^-1, for B its z-Fourier
     # block (HeisGridBackend.z_blocks) and F the DFT over x, formed densely;
     # blocks between slot groups are zero
-    b, lin, scale = _contact_system(8)
+    b, lin, _ = _contact_system(8)
     n, n3, m = b.n, b.n_points, b.n**2
-    blocks = list(solver_mod._preconditioner_blocks(lin.jacobian(np.zeros(7 * n3), b), b, scale))
-    point = _point_preconditioner(lin, b, scale).tocsr()
+    blocks = list(solver_mod._preconditioner_blocks(lin.jacobian(np.zeros(7 * n3), b), b))
+    point = _point_preconditioner(lin, b).tocsr()
     f = np.kron(np.fft.fft(np.eye(n)), np.eye(n))  # (x, y) -> (kx, y)
     f_inv = np.linalg.inv(f)
     tol = 1e-10 * abs(point).max()
@@ -1148,17 +1150,51 @@ def test_preconditioner_lives_with_the_compiled_jacobian(monkeypatch):
     contact = b.systems[PH_HEIS, None, False]
     comp = contact._compiled
     assert len(calls) == 1 and comp.precond is not None
-    # the matrices that each step rewrites and the gathered column scale
-    # are kept with it, and released with it too
-    kept = [weakref.ref(a) for a in (comp.jac, comp.jac_t, comp.col_scale)]
+    # the matrices that each step rewrites are kept with it, and released
+    # with it too
+    kept = [weakref.ref(a) for a in (comp.jac, comp.jac_t)]
     del comp
     init = random_monopole_state(HEIS, b, seed=0, eps=0.5)
     solve(HEIS, 0.5, init, SolveOpts(max_iter=2), ph=PH_HEIS)
     assert len(calls) == 1 and contact._compiled is None
     gc.collect()
     assert all(ref() is None for ref in kept)
-    eps_comp = b.systems[PH_HEIS, 0.5, False]._compiled
-    assert eps_comp.precond is None and eps_comp.col_scale is None
+    eps_system = b.systems[PH_HEIS, 0.5, False]
+    assert eps_system._compiled.precond is None and eps_system.preconditioner(b) is None
+
+
+def test_step_scale_is_exact_on_the_jacobian():
+    # CGLS on J preconditioned by S P^-1 S is CGLS on J S preconditioned by
+    # P, bit for bit, because S is a power of two: scaling by it is exact,
+    # so (J S) d = J (S d) and (J S)^T r = S (J^T r)
+    assert math.frexp(solver_mod.HORIZONTAL_GAUGE_SCALE)[0] == 0.5
+    b, lin, scale = _contact_system(8)
+    jac = lin.jacobian(solver_mod._pack(random_monopole_state(HEIS, b, seed=1)), b).copy()
+    rng = np.random.default_rng(2)
+    d, r = rng.normal(size=jac.shape[1]), rng.normal(size=jac.shape[0])
+    # J S with J's entries in J's order: scipy's jac @ diags(scale) drops
+    # J's stored zeros and reverses each row, which sums in another order
+    scaled = jac.copy()
+    scaled.data *= scale[scaled.indices]
+    assert (scaled @ d).tobytes() == (jac @ (scale * d)).tobytes()
+    assert (scaled.T @ r).tobytes() == (scale * (jac.T @ r)).tobytes()
+
+
+def test_compiled_contact_system_keeps_at_most_45_bytes_per_nonzero():
+    # the compiled N=8 contact system's arrays and CSR matrices (J, J^T, the
+    # linear part's data, the transpose's gather, the marks), but not P's
+    # factors, hold at most 45 bytes per nonzero of J
+    b, lin, _ = _contact_system(8)
+    comp = lin._compiled
+    total = 0
+    for name, v in vars(comp).items():
+        if name == "precond":
+            continue
+        if scipy.sparse.issparse(v):
+            total += v.data.nbytes + v.indices.nbytes + v.indptr.nbytes
+        elif isinstance(v, np.ndarray):
+            total += v.nbytes
+    assert total <= 45 * comp.jac.nnz
 
 
 @pytest.mark.parametrize("grid", [False, True])
