@@ -152,10 +152,6 @@ def rho_eps(eps) -> CliffordRep:
 class AxiomReport:
     failures: List[str]
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
 
 def clifford_axiom_check(rep: CliffordRep) -> AxiomReport:
     """Skew-adjointness, unit norm, and anticommutation of all generators."""
@@ -203,11 +199,10 @@ def form_mat_eval(x: FormMat, vec) -> Mat2:
 
 @dataclass(frozen=True)
 class ConnCoeffs:
-    """Connection coefficient matrix, its U(1) twist, and half trace."""
+    """Connection coefficient matrix and its U(1) twist."""
 
     base: FormMat
     twist: InvariantForm  # the real 1-form a; enters as + i a I
-    trace_half: InvariantForm  # b = (1/2) tr(base + i a I)
     flavor: str  # "pseudohermitian" | "levi-civita"
     eps: Fraction
 
@@ -238,7 +233,6 @@ def conn_coeffs(ph: PhInvariants, eps, a: InvariantForm, flavor: str) -> ConnCoe
     zero1 = InvariantForm.zero(1)
     if flavor == "pseudohermitian":
         base = _form_mat(zero1, zero1, zero1, EC_I * ph.omega)
-        trace_half = ExactComplex(Fraction(1, 2)) * (EC_I * ph.omega) + EC_I * a
     elif flavor == "levi-civita":
         inv_eps = ExactComplex(Fraction(1) / eps)
         omega_eps = ph.omega + ExactComplex(eps) * theta()
@@ -250,10 +244,9 @@ def conn_coeffs(ph: PhInvariants, eps, a: InvariantForm, flavor: str) -> ConnCoe
             (EC_I * EC_INV_SQRT2 * inv_eps * a1b1b) * theta1(),
             EC_I * omega_eps,
         )
-        trace_half = ExactComplex(Fraction(1, 2)) * (EC_I * omega_eps) + EC_I * a
     else:
         raise ValueError(f"unknown connection flavor {flavor!r}")
-    return ConnCoeffs(base=base, twist=a, trace_half=trace_half, flavor=flavor, eps=eps)
+    return ConnCoeffs(base=base, twist=a, flavor=flavor, eps=eps)
 
 
 def unitarity_diagnostic(cc: ConnCoeffs) -> Tuple[bool, FormMat]:
@@ -309,10 +302,6 @@ class CompatReport:
     flavor: str
     reference: str
     failures: List[str]
-
-    @property
-    def ok(self):
-        return not self.failures
 
 
 def compatibility_check(

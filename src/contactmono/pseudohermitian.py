@@ -253,12 +253,6 @@ def compare_scalar_curvature(m: ModelStructure, ph: PhInvariants, eps) -> Curvat
 class BracketReport:
     horizontal_ok: bool  # [Z1bar, Z1] identity
     reeb_ok: bool
-    horizontal_gap: tuple
-    reeb_gap: tuple
-
-    @property
-    def all_ok(self):
-        return self.horizontal_ok and self.reeb_ok
 
 
 def _complex_bracket(m: ModelStructure, v, w):
@@ -306,6 +300,4 @@ def frame_bracket_check(m: ModelStructure, ph: PhInvariants) -> BracketReport:
     return BracketReport(
         horizontal_ok=all(g.is_zero() for g in gap_h),
         reeb_ok=all(g.is_zero() for g in gap_r),
-        horizontal_gap=gap_h,
-        reeb_gap=gap_r,
     )

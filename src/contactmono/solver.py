@@ -43,6 +43,7 @@ from .fields import (
     _Stencil,
     _connection_weight,
     cov_deriv,
+    factor_blocks,
     gauge_transform,
     scalar_l2_norm_sq,
     sup_phi_sq,
@@ -619,24 +620,18 @@ class _Linearisation:
 
         CGLS on J so preconditioned is CGLS on J S preconditioned by P with
         its iterates multiplied by S, bit for bit: S is a power of two.
-        P is factored one kz block at a time, built at the first call after
-        a compile and released with the compiled Jacobian; P^-1 runs in
-        HeisGridBackend.xz_fourier.  SuperLU's relaxed supernodes and panels
-        hold dense workspace: without them the N=16 factors keep 2.5 MB of
-        resident memory, against 11.5 MB with scipy's defaults and 4.8 MB
-        as one factor of all the blocks.
+        P is factored one kz block at a time (fields.factor_blocks), built
+        at the first call after a compile and released with the compiled
+        Jacobian; P^-1 runs in HeisGridBackend.xz_fourier.
         """
         comp = self._compiled_on(b)
         if comp.shape[0] >= comp.shape[1]:
             return None
         if comp.precond is None:
             import scipy.sparse as sp
-            import scipy.sparse.linalg as spla
 
             j0 = sp.csr_matrix((comp.data, comp.jac.indices, comp.jac.indptr), shape=comp.shape)
-            comp.precond = [
-                spla.splu(p, relax=1, panel_size=1) for p in _preconditioner_blocks(j0, b)
-            ]
+            comp.precond = factor_blocks(_preconditioner_blocks(j0, b))
         factors = comp.precond
         scale = _SLOT_SCALE[:, None]
 
@@ -717,7 +712,7 @@ def _coulomb_project_grid(x: np.ndarray, b) -> np.ndarray:
     the base-point phase fixed.
 
     Solves the frame Laplacian div(grad chi) = div(a), with the frame
-    stencils as grad and _coulomb_form as div, directly in z-Fourier blocks
+    stencils as grad and _coulomb_form as div, directly in (kz, kx) blocks
     (HeisGridBackend.laplacian_solve, the minimum-norm chi), and applies
     gauge_transform with chi to x's slots.
     """

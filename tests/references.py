@@ -3,9 +3,10 @@
 None of these runs in the program: each is an independent route to a value
 the program computes (the gen(p, q) invariants, the Hodge inner product,
 the Clifford action of a form, the half-trace curvature), a check of the
-grid discretisation (divergence, adjointness, the anticommutator identity)
-or the five terms of the Weitzenbock identity that the certificate's
-energy rests on.
+grid discretisation (divergence, adjointness, the anticommutator identity,
+the z-only Fourier blocks that the program's (kz, kx) blocks are checked
+against) or the five terms of the Weitzenbock identity that the
+certificate's energy rests on.
 """
 
 from dataclasses import dataclass
@@ -87,9 +88,15 @@ def of_form(rep: CliffordRep, a: InvariantForm) -> Mat2:
     return out
 
 
+def half_trace(cc: ConnCoeffs) -> InvariantForm:
+    """b = (1/2) tr(base + i a I), read off the full connection matrix."""
+    full = cc.full()
+    return ExactComplex(Fraction(1, 2)) * (full[0][0] + full[1][1])
+
+
 @dataclass(frozen=True)
 class CurvatureTrace:
-    F_b: InvariantForm  # d(trace_half), a 2-form
+    F_b: InvariantForm  # d(b) for b the half trace, a 2-form
     F12: ExactComplex  # real: F_b = i(F12 e1^e2 + F01 e0^e1 + F02 e0^e2)
     F0: ExactComplex  # F01 + i F02
     pi_xi_trace: ExactComplex  # F_b(e_1, e_2), imaginary
@@ -97,7 +104,7 @@ class CurvatureTrace:
 
 def curvature_trace(cc: ConnCoeffs, m: ModelStructure) -> CurvatureTrace:
     """Half-trace curvature F_b = d(b) and its frame components."""
-    f_b = exterior_d(cc.trace_half, m)
+    f_b = exterior_d(half_trace(cc), m)
     minus_i = -EC_I
     f12 = minus_i * f_b.coeff(1, 2)
     f01 = minus_i * f_b.coeff(0, 1)
@@ -212,6 +219,46 @@ def anticommutator_pair(
     row1 = 2j * a1b1b * d_alpha_1 + f0 * f.alpha - 2 * a1b1b * a.aZ1() * f.alpha
     closed_f = SpinorField(row0, row1, f.backend)
     return direct_f, closed_f
+
+
+# --- z-Fourier blocks of grid operators ----------------------------------------------
+
+# z wraps without a twist and the y-seam shifts z by 2x, so every frame
+# stencil commutes with z-translations: a real DFT in z alone splits an
+# operator built from them into N/2+1 independent (x, y) blocks of N^2
+# unknowns, one per kz.  The program works in HeisGridBackend.xz_fourier,
+# which also takes the DFT over x; these are its independent reference.
+
+
+def z_fourier(b, u):
+    """The z-Fourier blocks of the real field u on grid b: row kz of the
+    (N/2+1, N^2) result is its rfft over z at kz, in (x, y) order."""
+    n = b.n
+    return np.fft.rfft(np.reshape(u, b.shape), axis=2).reshape(n * n, -1).T
+
+
+def z_fourier_inverse(b, blocks):
+    """The flat real field whose z_fourier is blocks."""
+    n = b.n
+    return np.fft.irfft(blocks.T.reshape(n, n, -1), n=n, axis=2).ravel()
+
+
+def z_blocks(b, op):
+    """The z-Fourier blocks of a sparse N^3 operator on grid b that commutes
+    with z-translations, as one block-diagonal CSC matrix acting on
+    z_fourier(b, u).ravel(): block kz has the entries
+    sum_z' op[(x, y, 0), (x', y', z')] exp(2 pi i kz z' / N)."""
+    import scipy.sparse as sp
+
+    n, m = b.n, b.n**2
+    top = op.tocsr()[::n].tocoo()  # the rows at z = 0
+    col, z = np.divmod(top.col, n)
+    kz = np.arange(n // 2 + 1)[:, None]
+    vals = np.exp(2j * np.pi * (kz * z % n) / n) * top.data
+    rows, cols = kz * m + top.row, kz * m + col
+    return sp.csc_matrix(
+        (vals.ravel(), (rows.ravel(), cols.ravel())), shape=(len(kz) * m,) * 2
+    )
 
 
 # --- the Weitzenbock identity --------------------------------------------------------
