@@ -307,10 +307,14 @@ def factor_blocks(blocks):
     SuperLU's relaxed supernodes and panels hold dense workspace: without
     them the N=16 preconditioner factors keep 2.5 MB of resident memory,
     against 11.5 MB with scipy's defaults and 4.8 MB as one factor of all
-    the blocks.
+    the blocks.  Every block is built before the first factor: factors
+    allocated between the freed arrays of the next blocks' builds fragment
+    the heap, and the N=48 preconditioner then kept 162 MiB resident for
+    its 3.04M factor nonzeros, against 52 MiB built first.
     """
     import scipy.sparse.linalg as spla
 
+    blocks = list(blocks)
     return [spla.splu(p, relax=1, panel_size=1) for p in blocks]
 
 

@@ -489,6 +489,73 @@ HORIZONTAL_GAUGE_SCALE = 0.5
 _SLOT_SCALE = np.array([1.0] * 5 + [HORIZONTAL_GAUGE_SCALE] * 2)
 
 
+# the most mark entries that one write of a grid Jacobian call evaluates at
+# once (_Linearisation.jacobian): each form's marks are written in chunks of
+# whole groups, so the call holds about as much as the form's diagonals
+MARK_CHUNK = 2**14
+
+
+class _FormMarks(NamedTuple):
+    """A chunk of the marks of one form on the grid, written by
+    _Linearisation.jacobian.
+
+    The marks of one (row block, column block), a group, share their N^3
+    entries.  Row i of the chunk's values is part parts[i] = (index into the
+    form's diagonals, real or imaginary part) of a diagonal times scale[i],
+    the mark's sign times the residual weight.  The first len(at) rows are
+    the first mark of each group; the rows (lo, hi) of layers[j] are the
+    (j + 2)-th marks of the first hi - lo groups, which are sorted by size.
+    base holds the linear part at the entries of the first len(base)
+    groups; the entries of the others hold -0.0 there.  at and at_t are
+    each group's positions in the data of J and J^T.
+    """
+
+    parts: tuple
+    scale: np.ndarray
+    layers: tuple
+    base: np.ndarray
+    at: np.ndarray
+    at_t: np.ndarray
+
+
+def _group_positions(mat, pairs, n3):
+    """The positions in the data of the CSR matrix mat, whose indices are
+    sorted, of the entries (r n3 + i, c n3 + i), i < n3, of each (r, c) in
+    pairs: one row per pair, searched one row block of mat at a time."""
+    out = np.empty((len(pairs), n3), dtype=np.intp)
+    points = np.arange(n3)
+    for r in np.unique(pairs[:, 0]):
+        lo, hi = mat.indptr[r * n3], mat.indptr[(r + 1) * n3]
+        # the entry (r n3 + i, col) has the key i * n_cols + col
+        keys = np.repeat(points * mat.shape[1], np.diff(mat.indptr[r * n3 : (r + 1) * n3 + 1]))
+        keys += mat.indices[lo:hi]
+        mine = pairs[:, 0] == r
+        want = (pairs[mine, 1] * n3)[:, None] + points * (mat.shape[1] + 1)
+        out[mine] = lo + np.searchsorted(keys, want)
+    return out
+
+
+def _form_marks(groups, based, marks, lo, weight, at, at_t, data) -> _FormMarks:
+    """The _FormMarks of a chunk of the groups of the form whose diagonals
+    start at lo, sorted by size, those that need their base (based) first
+    among equals: marks are the _Marks, at and at_t the groups' positions
+    in the data of J and J^T, and data J's data (the linear part)."""
+    n_base = max((j + 1 for j, b in enumerate(based) if b), default=0)
+    rows = [g[0] for g in groups]
+    layers = []
+    for j in range(1, len(groups[0])):
+        layers.append((len(rows), len(rows) + sum(len(g) > j for g in groups)))
+        rows += [g[j] for g in groups if len(g) > j]
+    return _FormMarks(
+        parts=tuple((marks[i].k - lo, marks[i].imag) for i in rows),
+        scale=np.array([[marks[i].sign * weight] for i in rows]),
+        layers=tuple(layers),
+        base=data[at[:n_base]],
+        at=at,
+        at_t=at_t,
+    )
+
+
 class _Linearisation:
     """An equation system: its forms, and their Jacobian, compiled once and
     evaluated per state.
@@ -497,12 +564,18 @@ class _Linearisation:
     part only adds _Form.diagonal(u) on the diagonal.  The first jacobian call
     compiles: _assemble builds the weighted, realified matrix of the linear
     part (with the Coulomb rows on the grid) once, with a _Diag placeholder
-    per diagonal, and the positions of the placeholders' entries in its data
-    are kept.  Each call then evaluates the diagonals and adds them, scaled
-    and signed, at those positions to a copy of the data.  On the grid the
-    copy is the data of the system's own CSR matrix J, and transpose fills
-    the data of its own J^T, so a Gauss-Newton step allocates no array of
-    J's size.
+    per diagonal, whose entries (the marks') hold -0.0 there.
+
+    At one point each call adds the scaled, signed diagonals at the marks'
+    positions to a copy of the dense linear part.  On the grid the system
+    owns J and J^T as CSR matrices, which hold the linear part off the
+    marks, and each call writes only the marks' entries of both, form by
+    form (_FormMarks): -0.0 is the identity of addition, so an entry of one
+    mark whose linear part is -0.0 (all of the contact system's, and all
+    but one in twenty of an eps system's) is the mark's value as it is.  A
+    Gauss-Newton step allocates no array of J's size.  The grid J and J^T
+    are read-only for callers, and valid until the next jacobian or
+    preconditioner call on the system.
 
     A backend keeps one system per key (_system) but at most one compiled
     Jacobian: a compile first releases the compiled arrays of every system
@@ -512,8 +585,8 @@ class _Linearisation:
     the backend's systems hold no reference back to it.
 
     A fresh assembly at u sums each entry's terms in its own order; here the
-    diagonals come last.  Both agree bit for bit when no entry sums more than
-    two nonzero terms, as in every system of _forms.
+    diagonals come last, in mark order.  Both agree bit for bit when no
+    entry sums more than two nonzero terms, as in every system of _forms.
     """
 
     def __init__(self, forms: Sequence[_Form]):
@@ -525,8 +598,9 @@ class _Linearisation:
         n3 = b.n_points
         grid = b.kind == "heis-grid"
         probe = [np.zeros(1, complex)] * 4 + [np.zeros(1)] * 3  # slot types
-        blocks, k = [], 0
+        blocks, k, first = [], 0, []
         for f in self.forms:
+            first.append(k)
             diag = {}
             for slot, coef in f.diagonal(probe).items():
                 diag[slot] = _Diag(k, np.iscomplexobj(coef))
@@ -535,46 +609,78 @@ class _Linearisation:
         if grid:
             blocks.append(_coulomb_form(b).rows({}))
         triplets, shape, marks = _assemble(blocks, b)
-        n_rows, n_cols = comp.shape = shape
-        # a mark (r, c, _) has the entries (r n3 + i, c n3 + i), and an entry
-        # (row, col) the key row * n_cols + col
-        keys = np.array([(r * n_cols + c) * n3 for r, c, _ in marks])[:, None]
-        keys = keys + np.arange(n3) * (n_cols + 1)
-        if grid:
-            import scipy.sparse as sp
-
-            jac = sp.coo_matrix(triplets, shape=shape).tocsr()
-            del triplets
-            nnz_keys = np.repeat(np.arange(n_rows) * n_cols, np.diff(jac.indptr))
-            nnz_keys += jac.indices
-            keys = np.searchsorted(nnz_keys, keys)
-            del nnz_keys
-            # jacobian() and transpose() rewrite the data of J and J^T in place
-            comp.jac, comp.data = jac, jac.data.copy()
-            # J^T in CSR: the CSC arrays of J, with each entry's index in J's data
-            order = sp.csr_matrix(
-                (np.arange(jac.nnz, dtype=np.int32), jac.indices, jac.indptr), shape=jac.shape
-            ).tocsc()
-            # as intp, which np.take would otherwise convert it to per call
-            comp.perm = order.data.astype(np.intp)
-            comp.jac_t = sp.csr_matrix(
-                (np.empty(jac.nnz), order.indices, order.indptr), shape=shape[::-1]
-            )
-            del order
-        else:
+        comp.shape = shape
+        weight = math.sqrt(b.volume / n3)
+        comp.precond = None
+        if not grid:
             # the sums of coo_matrix.toarray, in entry order, without
             # loading scipy.sparse for the invariant sector
             vals, entry = triplets
             dense = np.zeros(shape)
             np.add.at(dense, entry, vals)
             comp.data = dense.ravel()
-        # the data positions of the marks' entries, flat in mark order
-        comp.pos = keys.ravel().astype(np.intp)
-        comp.diag = np.array([m.k for _, _, m in marks])
-        comp.imag = np.array([m.imag for _, _, m in marks])
-        weight = math.sqrt(b.volume / n3)
-        comp.scale = np.array([[m.sign * weight] for _, _, m in marks])
-        comp.precond = None
+            # the data positions of the marks' entries, in mark order
+            comp.pos = np.array([r * shape[1] + c for r, c, _ in marks])
+            comp.diag = np.array([m.k for _, _, m in marks])
+            comp.imag = np.array([m.imag for _, _, m in marks])
+            comp.scale = np.array([m.sign * weight for _, _, m in marks])
+            return comp
+        import scipy.sparse as sp
+
+        jac = sp.coo_matrix(triplets, shape=shape).tocsr()
+        del triplets
+        # the marks that share an entry share all N^3 of theirs: the marks of
+        # one (row block, column block), a group
+        groups = {}
+        for i, (r, c, _) in enumerate(marks):
+            groups.setdefault((r, c), []).append(i)
+        pairs, groups = np.array(list(groups)).reshape(-1, 2), list(groups.values())
+        at = _group_positions(jac, pairs, n3)
+        # a group needs its base unless its entries hold -0.0 in J
+        based = [not np.all(np.signbit(v) & (v == 0)) for v in jac.data[at]]
+        # each form's groups, sorted by size and those with a base first
+        # among equals, in chunks of at most MARK_CHUNK entries
+        forms, order = [], []
+        for lo, hi in zip(first, first[1:] + [k]):
+            mine = [j for j, g in enumerate(groups) if lo <= marks[g[0]][2].k < hi]
+            mine.sort(key=lambda j: (-len(groups[j]), not based[j]))
+            chunks = []
+            for j in mine:
+                if not chunks or size + len(groups[j]) * n3 > MARK_CHUNK:
+                    chunks.append([])
+                    size = 0
+                chunks[-1].append(j)
+                size += len(groups[j]) * n3
+            forms.append((lo, chunks))
+            order += mine
+        at = at[order]
+        # J^T in CSR: J's CSC arrays, with the linear part
+        jac_t = jac.T.tocsr()
+        at_t = _group_positions(jac_t, pairs[order, ::-1], n3)
+        # jacobian() writes the data of J and J^T, which callers only read
+        comp.data, comp.data_t = jac.data, jac_t.data
+        for m in (jac, jac_t):
+            m.data = m.data.view()
+            m.data.flags.writeable = False
+        comp.jac, comp.jac_t = jac, jac_t
+        comp.forms, start, mark_of = [], 0, [m for _, _, m in marks]
+        for lo, chunks in forms:
+            comp.forms.append([])
+            for chunk in chunks:
+                end = start + len(chunk)
+                comp.forms[-1].append(
+                    _form_marks(
+                        [groups[j] for j in chunk],
+                        [based[j] for j in chunk],
+                        mark_of,
+                        lo,
+                        weight,
+                        at[start:end],
+                        at_t[start:end],
+                        comp.data,
+                    )
+                )
+                start = end
         return comp
 
     def _compiled_on(self, b) -> SimpleNamespace:
@@ -588,28 +694,40 @@ class _Linearisation:
     def jacobian(self, x: np.ndarray, b):
         """The Jacobian at the packed vector x on backend b: dense at one
         point, a fresh array; on the grid the system's own CSR matrix with
-        the Coulomb rows, its data rewritten in place.  A grid Jacobian is
-        valid until the next call on this system."""
+        the Coulomb rows, its marked entries and J^T's written in place.  A
+        grid Jacobian is read-only, and valid until the next jacobian or
+        preconditioner call on this system."""
         comp = self._compiled_on(b)
         u = _slots(x, b)
-        d = np.array([v for f in self.forms for v in f.diagonal(u).values()], dtype=complex)
-        # (diagonal, point, real or imaginary part), gathered by mark
-        vals = d.view(float).reshape(len(d), -1, 2)[comp.diag, :, comp.imag]
-        vals *= comp.scale
-        grid = b.kind == "heis-grid"
-        data = comp.jac.data if grid else np.empty_like(comp.data)
-        np.copyto(data, comp.data)
-        # marks that share an entry add to it in mark order
-        np.add.at(data, comp.pos, vals.ravel())
-        return comp.jac if grid else data.reshape(comp.shape)
+        if b.kind != "heis-grid":
+            d = np.array([v for f in self.forms for v in f.diagonal(u).values()], dtype=complex)
+            # (diagonal, real or imaginary part), gathered by mark
+            vals = d.view(float).reshape(len(d), 2)[comp.diag, comp.imag]
+            vals *= comp.scale
+            data = comp.data.copy()
+            # marks that share an entry add to it in mark order
+            np.add.at(data, comp.pos, vals)
+            return data.reshape(comp.shape)
+        for f, chunks in zip(self.forms, comp.forms):
+            diag = list(f.diagonal(u).values())
+            for fm in chunks:
+                vals = np.array([diag[k].imag if imag else diag[k].real for k, imag in fm.parts])
+                vals *= fm.scale
+                # the linear part first, then each entry's marks in mark order
+                vals[: len(fm.base)] += fm.base
+                for lo, hi in fm.layers:
+                    vals[: hi - lo] += vals[lo:hi]
+                comp.data[fm.at] = comp.data_t[fm.at_t] = vals[: len(fm.at)]
+                del vals
+            del diag  # before the next form's diagonals
+        return comp.jac
 
     def transpose(self, jac):
-        """The transpose of a grid jacobian() (or of a copy of one, whatever
-        its data) as the system's own CSR matrix, its data rewritten in
-        place."""
+        """J^T of the grid jac, which must be this system's last jacobian():
+        the system's own CSR matrix, written with J."""
         comp = self._compiled
-        # mode="clip" gathers straight into out: "raise" buffers it first
-        np.take(jac.data, comp.perm, out=comp.jac_t.data, mode="clip")
+        if comp is None or jac is not comp.jac:
+            raise ValueError("transpose takes this system's last grid Jacobian")
         return comp.jac_t
 
     def preconditioner(self, b):
@@ -621,17 +739,18 @@ class _Linearisation:
         CGLS on J so preconditioned is CGLS on J S preconditioned by P with
         its iterates multiplied by S, bit for bit: S is a power of two.
         P is factored one kz block at a time (fields.factor_blocks), built
-        at the first call after a compile and released with the compiled
-        Jacobian; P^-1 runs in HeisGridBackend.xz_fourier.
+        at the first call after a compile from J with its marks put back to
+        the linear part, and released with the compiled Jacobian; P^-1 runs
+        in HeisGridBackend.xz_fourier.
         """
         comp = self._compiled_on(b)
         if comp.shape[0] >= comp.shape[1]:
             return None
         if comp.precond is None:
-            import scipy.sparse as sp
-
-            j0 = sp.csr_matrix((comp.data, comp.jac.indices, comp.jac.indptr), shape=comp.shape)
-            comp.precond = factor_blocks(_preconditioner_blocks(j0, b))
+            for fm in (fm for chunks in comp.forms for fm in chunks):
+                comp.data[fm.at] = -0.0
+                comp.data[fm.at[: len(fm.base)]] = fm.base
+            comp.precond = factor_blocks(_preconditioner_blocks(comp.jac, b))
         factors = comp.precond
         scale = _SLOT_SCALE[:, None]
 
@@ -670,7 +789,8 @@ def _preconditioner_blocks(j0, b):
 
 def _grid_jacobian(x: np.ndarray, b, lin: _Linearisation) -> sp.csr_matrix:
     """Jacobian of the stacked real residual of lin at x, plus the Coulomb
-    rows, as lin's own CSR matrix (valid until lin's next Jacobian).
+    rows, as lin's own read-only CSR matrix (valid until lin's next
+    Jacobian or preconditioner).
 
     The last N^3 rows are the rows of _coulomb_form with the residual weight;
     solve pairs them with -div(a), which fixes the gauge directions of the
@@ -764,7 +884,8 @@ def _forcing_term(
 
 def _cgls_step(jac, jac_t, rhs: np.ndarray, eta: float, precond=None):
     """CGLS (Bjorck 1996, sec. 7.4) on jac from p = 0, with jac_t its
-    transpose and the preconditioner v -> M^-1 v (None for M = I):
+    transpose and the preconditioner v -> M^-1 v (None for M = I), which
+    returns v itself or an array the step may overwrite:
     (p, stop, iterations, |rhs - jac p|).
 
     The search directions are M^-1 J^T r (CG on the normal equations
@@ -780,7 +901,7 @@ def _cgls_step(jac, jac_t, rhs: np.ndarray, eta: float, precond=None):
     r = rhs.copy()
     s = jac_t @ r
     z = s if precond is None else precond(s)
-    d = z
+    d = z.copy()  # z is reused below for step * d, and d is updated in place
     gamma = float(s @ z)
     r_norm = rhs_norm = float(np.linalg.norm(rhs))
     stop, itn = 0, 0
@@ -788,8 +909,11 @@ def _cgls_step(jac, jac_t, rhs: np.ndarray, eta: float, precond=None):
         itn += 1
         t = jac @ d
         step = gamma / float(t @ t)
-        p += step * d
-        r -= step * t
+        # step * d and step * t go to z and t, which are not read again
+        # before they are recomputed: no array is allocated for them
+        p += np.multiply(step, d, out=z)
+        t *= step
+        r -= t
         s = jac_t @ r
         z = s if precond is None else precond(s)
         gamma_prev, gamma = gamma, float(s @ z)
@@ -803,7 +927,8 @@ def _cgls_step(jac, jac_t, rhs: np.ndarray, eta: float, precond=None):
             stop = 7
         if stop:
             break
-        d = z + (gamma / gamma_prev) * d
+        d *= gamma / gamma_prev
+        d += z
     return p, stop, itn, r_norm
 
 

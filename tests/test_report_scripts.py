@@ -1,8 +1,9 @@
-"""The byte-identity scripts run on the current tree.
+"""The byte-identity scripts and the memory probe run on the current tree.
 
-scripts/report_digest.py calls private solver functions, so a change of their
-signatures shows here rather than at the next comparison of two trees.  Its
-output must equal the committed tests/report_digest.txt, written with one
+scripts/report_digest.py and scripts/grid_memory.py call private solver
+functions, so a change of their signatures shows here rather than at the next
+comparison of two trees.  The digest's output must equal the committed
+tests/report_digest.txt, written with one
 BLAS thread under numpy 2.4.6 and scipy 1.17.1 (the versions CI pins): a
 change that moves report bytes on purpose rewrites that file, so the move
 shows in its diff.
@@ -51,3 +52,16 @@ def test_report_digest_and_diff_run(tmp_path):
     assert diff.returncode == 0, diff.stdout + diff.stderr
     lines = diff.stdout.splitlines()
     assert len(lines) == 26 and all(line.endswith(": identical") for line in lines)
+
+
+def test_grid_memory_prints_each_phase(tmp_path):
+    out = run_script("grid_memory.py", "--N", "8", cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    head, columns, *rows = out.stdout.splitlines()
+    assert head.startswith("# heis-grid N=8 contact seed 0: J has 30208 nonzeros, compiled arrays ")
+    assert head.endswith("bytes per nonzero; solve converged in 6 steps")
+    assert columns.split() == ["phase", "traced", "traced_peak", "rss_delta", "rss", "peak_rss"]
+    assert [row.split()[0] for row in rows] == ["compile", "preconditioner", "jacobian", "laplacian", "solve"]
+    for row in rows:
+        traced, traced_peak, _, rss, peak_rss = map(float, row.split()[1:])
+        assert 0 < traced <= traced_peak and 0 < rss <= peak_rss
